@@ -19,13 +19,20 @@ NO_WAIT.  Three claims are checked:
   measured and recorded, but the assertion self-skips (sandboxes often
   pin 1 CPU);
 * **sticky plans** — repeated sweeps of one ``(version, window,
-  semantics, kernel)`` ship the full plan to each worker at most once
+  semantics)`` ship the full plan to each worker at most once
   (fingerprint-only jobs after), cutting bytes-on-wire by at least 5x
   against per-job plan shipping.  Asserted unconditionally — it is a
   protocol property, not a host-speed property.
 
+A **crossover** case then sweeps one pre-built WAIT plan at n=1200 and
+n=2400 serially and through the same 2 workers — the first sweep
+(plan shipped) and a repeat (sticky, fingerprint-only jobs) — and
+asserts exactness with no speedup gate: it records where, if anywhere,
+the cluster starts to pay on this host.
+
 Emits ``BENCH_cluster.json`` next to this file so CI can track the
-wire overhead, the recovery counters, and the sticky-plan byte counts.
+wire overhead, the recovery counters, the sticky-plan byte counts and
+the crossover timings.
 
 Run standalone (``python benchmarks/bench_cluster.py``) or through
 pytest (``pytest benchmarks/bench_cluster.py``).
@@ -54,6 +61,8 @@ REQUIRED_SPEEDUP = 1.2
 REQUIRED_CPUS = 2
 REPEAT_SWEEPS = 5
 REQUIRED_WIRE_REDUCTION = 5.0
+#: Graph sizes of the crossover case (same period, density and seed).
+CROSSOVER_NODES = (1200, 2400)
 
 _PORT_PATTERN = re.compile(r"worker listening on \('[^']+', (\d+)\)")
 
@@ -102,10 +111,47 @@ def stop_workers(workers) -> None:
             proc.wait()
 
 
+def crossover_case(nodes: int, addresses: list[str]) -> dict:
+    """Serial vs the worker fleet on one pre-built WAIT plan of a
+    ``nodes``-node graph: first sweep (plan shipped) and sticky repeat."""
+    import numpy as np
+
+    from repro.core.engine import TemporalEngine
+    from repro.core.generators import periodic_random_tvg
+    from repro.core.parallel import build_sweep_plan
+    from repro.core.semantics import WAIT
+    from repro.core.sweep_kernel import sweep_block
+    from repro.service.cluster import ClusterExecutor
+
+    graph = periodic_random_tvg(
+        nodes, period=PERIOD, density=DENSITY, labels="ab", seed=SEED
+    )
+    _nodes, plan = build_sweep_plan(TemporalEngine(graph), 0, WAIT, HORIZON)
+    serial, serial_seconds = _timed(lambda: sweep_block(plan, range(plan.n)))
+    cluster = ClusterExecutor(addresses)
+    first, first_seconds = _timed(lambda: cluster.sweep(plan))
+    sticky, sticky_seconds = _timed(lambda: cluster.sweep(plan))
+    assert np.array_equal(first, serial) and np.array_equal(sticky, serial), (
+        f"distributed sweep diverged from serial at n={nodes}"
+    )
+    assert cluster.jobs_recovered == 0, (
+        f"healthy workers needed local re-runs at n={nodes}"
+    )
+    return {
+        "nodes": graph.node_count,
+        "edges": graph.edge_count,
+        "serial_seconds": serial_seconds,
+        "cluster_first_seconds": first_seconds,
+        "cluster_sticky_seconds": sticky_seconds,
+        "plans_shipped": cluster.plans_shipped,
+        "jobs_shipped": cluster.jobs_shipped,
+    }
+
+
 def run_benchmark() -> dict:
     import numpy as np
 
-    from bench_common import gate_info, host_cpus, kernel_variant
+    from bench_common import gate_info, host_cpus
     from repro.core.engine import TemporalEngine
     from repro.core.generators import periodic_random_tvg
     from repro.core.semantics import NO_WAIT, WAIT
@@ -131,7 +177,6 @@ def run_benchmark() -> dict:
         "compile_seconds": compile_seconds,
         "workers": WORKERS,
         "cpus": host_cpus(),
-        "kernel": kernel_variant(),
         "gate": gate_info(REQUIRED_SPEEDUP, REQUIRED_CPUS),
         "cases": {},
     }
@@ -181,7 +226,7 @@ def run_benchmark() -> dict:
         }
 
         # Sticky plans: a fresh executor sweeping the same (version,
-        # window, semantics, kernel) repeatedly ships the plan to each
+        # window, semantics) repeatedly ships the plan to each
         # worker at most once — every later job is fingerprint-only.
         from repro.core.parallel import build_sweep_plan
         from repro.service.wire import plan_to_spec
@@ -224,6 +269,12 @@ def run_benchmark() -> dict:
             "naive_plan_bytes": naive_bytes,
             "wire_reduction": wire_reduction,
         }
+
+        addresses = [address for _proc, address in workers]
+        for nodes in CROSSOVER_NODES:
+            results["cases"][f"crossover_wait_n{nodes}"] = crossover_case(
+                nodes, addresses
+            )
     finally:
         stop_workers(workers)
     return results
@@ -238,6 +289,12 @@ def emit(results: dict) -> None:
                 f"{case:38s} serial {row['serial_seconds'] * 1e3:9.1f} ms"
                 f"   cluster({results['workers']}) {row['cluster_seconds'] * 1e3:8.1f} ms"
                 f"   speedup {row['speedup']:6.2f}x"
+            )
+        elif "cluster_first_seconds" in row:
+            print(
+                f"{case:38s} serial {row['serial_seconds'] * 1e3:9.1f} ms"
+                f"   cluster first {row['cluster_first_seconds'] * 1e3:8.1f} ms"
+                f"   sticky {row['cluster_sticky_seconds'] * 1e3:8.1f} ms"
             )
         elif "wire_reduction" in row:
             print(

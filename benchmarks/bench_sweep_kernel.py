@@ -1,21 +1,22 @@
 """E13 — the bitset sweep kernel vs the bignum oracle, single core.
 
-Times :func:`repro.core.sweep_kernel.sweep_block` under both kernels on
+Times :func:`repro.core.sweep_kernel.sweep_block` (the bitset kernel)
+against the per-state bignum oracle kept in ``tests/doubles.py``, on
 the same 400-node periodic TVG ``bench_cluster.py`` uses (so the
-numbers compare directly with the wire and sharding benchmarks), under
-WAIT and NO_WAIT, full source set, one process, one core.  Two claims
-are checked:
+numbers compare directly with the wire benchmark), under WAIT and
+NO_WAIT, full source set, one process, one core.  Two claims are
+checked:
 
 * **exactness** — the bitset matrix equals the bignum matrix element
   for element, both semantics (asserted unconditionally, every run);
 * **speedup** — the bitset kernel is at least 5x faster than the bignum
-  kernel on the WAIT case.  Unlike the sharding/cluster gates this one
-  needs no extra cores — it is a single-core algorithmic claim, so it
-  applies on every host, 1-CPU sandboxes included.
+  oracle on the WAIT case.  Unlike the cluster gate this one needs no
+  extra cores — it is a single-core algorithmic claim, so it applies
+  on every host, 1-CPU sandboxes included.
 
-The plan is lowered once outside the timed sections (both kernels
+The plan is lowered once outside the timed sections (both sweeps
 consume the identical :class:`~repro.core.parallel.SweepPlan`), so the
-timings isolate the kernels themselves.  Emits ``BENCH_sweep.json``
+timings isolate the sweeps themselves.  Emits ``BENCH_sweep.json``
 next to this file.
 
 Run standalone (``python benchmarks/bench_sweep_kernel.py``) or through
@@ -29,6 +30,7 @@ import sys
 from pathlib import Path
 
 RESULT_FILE = Path(__file__).parent / "BENCH_sweep.json"
+ROOT = Path(__file__).resolve().parent.parent
 
 # The BENCH_cluster graph, verbatim, for cross-benchmark comparability.
 NODES = 400
@@ -57,6 +59,7 @@ def _best_of(fn, repeats: int = REPEATS):
 
 def run_benchmark() -> dict:
     import numpy as np
+    from doubles import sweep_block_bignum
 
     from bench_common import gate_info, host_cpus
     from repro.core.engine import TemporalEngine
@@ -80,7 +83,6 @@ def run_benchmark() -> dict:
             "seed": SEED,
         },
         "cpus": host_cpus(),
-        "kernel": "bitset-vs-bignum",  # this benchmark pins both explicitly
         "repeats": REPEATS,
         "gate": gate_info(REQUIRED_SPEEDUP, REQUIRED_CPUS),
         "cases": {},
@@ -89,12 +91,8 @@ def run_benchmark() -> dict:
     for label, semantics in (("wait", WAIT), ("nowait", NO_WAIT)):
         _nodes, plan = build_sweep_plan(engine, 0, semantics, HORIZON)
         sources = tuple(range(plan.n))
-        bignum, bignum_seconds = _best_of(
-            lambda: sweep_block(plan, sources, kernel="bignum")
-        )
-        bitset, bitset_seconds = _best_of(
-            lambda: sweep_block(plan, sources, kernel="bitset")
-        )
+        bignum, bignum_seconds = _best_of(lambda: sweep_block_bignum(plan, sources))
+        bitset, bitset_seconds = _best_of(lambda: sweep_block(plan, sources))
         assert np.array_equal(bitset, bignum), (
             f"bitset kernel diverged from the bignum oracle under {label}"
         )
@@ -124,7 +122,7 @@ def _check_speedup(results: dict) -> None:
     row = results["cases"]["sweep_block_wait"]
     assert row["speedup"] >= REQUIRED_SPEEDUP, (
         f"sweep_block_wait: bitset speedup {row['speedup']:.2f}x below "
-        f"the {REQUIRED_SPEEDUP}x floor over the bignum kernel"
+        f"the {REQUIRED_SPEEDUP}x floor over the bignum oracle"
     )
 
 
@@ -137,7 +135,7 @@ def test_kernel_speedup():
 
 
 if __name__ == "__main__":
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
     results = run_benchmark()
     emit(results)
     _check_speedup(results)

@@ -60,16 +60,13 @@ def is_temporally_connected_from(
     start: int,
     end: int,
     engine: "TemporalEngine | None" = None,
-    shards: int | None = None,
     cluster: "ClusterExecutor | None" = None,
-    kernel: str | None = None,
 ) -> bool:
     """C2 on the window: TC from date ``start`` with horizon ``end``."""
     require_window(start, end)
     return (
         reachability_ratio(
-            graph, start, WAIT, horizon=end, engine=engine, shards=shards,
-            cluster=cluster, kernel=kernel,
+            graph, start, WAIT, horizon=end, engine=engine, cluster=cluster
         )
         == 1.0
     )
@@ -80,9 +77,7 @@ def is_round_connected(
     start: int,
     end: int,
     engine: "TemporalEngine | None" = None,
-    shards: int | None = None,
     cluster: "ClusterExecutor | None" = None,
-    kernel: str | None = None,
 ) -> bool:
     """C1: every node can reach every other *and hear back* in the window.
 
@@ -98,11 +93,9 @@ def is_round_connected(
     if midpoint == start:
         return graph.node_count <= 1
     return is_temporally_connected_from(
-        graph, start, midpoint, engine=engine, shards=shards, cluster=cluster,
-        kernel=kernel,
+        graph, start, midpoint, engine=engine, cluster=cluster
     ) and is_temporally_connected_from(
-        graph, midpoint, end, engine=engine, shards=shards, cluster=cluster,
-        kernel=kernel,
+        graph, midpoint, end, engine=engine, cluster=cluster
     )
 
 
@@ -112,16 +105,13 @@ def is_recurrently_connected(
     end: int,
     stride: int = 1,
     engine: "TemporalEngine | None" = None,
-    shards: int | None = None,
     cluster: "ClusterExecutor | None" = None,
-    kernel: str | None = None,
 ) -> bool:
     """C3 on the window: TC holds from every sampled start date."""
     require_window(start, end)
     return all(
         is_temporally_connected_from(
-            graph, t, end, engine=engine, shards=shards, cluster=cluster,
-            kernel=kernel,
+            graph, t, end, engine=engine, cluster=cluster
         )
         for t in range(start, max(start + 1, end - 1), stride)
     )
@@ -344,36 +334,29 @@ def classify(
     recurrence_bound: int | None = None,
     period: int | None = None,
     engine: "TemporalEngine | None" = None,
-    shards: int | None = None,
     cluster: "ClusterExecutor | None" = None,
-    kernel: str | None = None,
 ) -> ClassReport:
     """Run all checkers and report the classes exhibited on the window.
 
     ``recurrence_bound`` and ``period`` default to window/4 and the
     graph's declared period respectively.  ``engine`` accelerates the
     connectivity checkers (C1/C2/C3) through the batched arrival sweep
-    — shardable across worker processes via ``shards`` or across
-    machines via ``cluster`` — and the schedule checkers through the
-    compiled contact arrays.
+    — shippable to remote sweep workers via ``cluster`` — and the
+    schedule checkers through the compiled contact arrays.
     """
     require_window(start, end)
     bound = recurrence_bound if recurrence_bound is not None else max(1, (end - start) // 4)
     declared = period if period is not None else graph.period
     tags: set[str] = set()
-    if is_round_connected(
-        graph, start, end, engine=engine, shards=shards, cluster=cluster,
-        kernel=kernel,
-    ):
+    if is_round_connected(graph, start, end, engine=engine, cluster=cluster):
         tags.add("C1")
     if is_temporally_connected_from(
-        graph, start, end, engine=engine, shards=shards, cluster=cluster,
-        kernel=kernel,
+        graph, start, end, engine=engine, cluster=cluster
     ):
         tags.add("C2")
     if is_recurrently_connected(
         graph, start, end, stride=max(1, (end - start) // 8),
-        engine=engine, shards=shards, cluster=cluster, kernel=kernel,
+        engine=engine, cluster=cluster,
     ):
         tags.add("C3")
     if edges_recurrent(graph, start, end, engine=engine):

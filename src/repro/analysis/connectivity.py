@@ -32,9 +32,7 @@ def is_temporally_connected(
     semantics: WaitingSemantics = WAIT,
     horizon: int | None = None,
     engine: "TemporalEngine | None" = None,
-    shards: int | None = None,
     cluster: "ClusterExecutor | None" = None,
-    kernel: str | None = None,
 ) -> bool:
     """Whether every ordered pair is joined by a feasible journey.
 
@@ -43,7 +41,7 @@ def is_temporally_connected(
     .reachability_ratio`), never expanding the boolean matrix.
     """
     ratio = reachability_ratio(
-        graph, start_time, semantics, horizon, engine, shards, cluster, kernel
+        graph, start_time, semantics, horizon, engine, cluster
     )
     return ratio == 1.0
 
@@ -86,16 +84,14 @@ def classify_connectivity(
     start: int,
     end: int,
     engine: "TemporalEngine | None" = None,
-    shards: int | None = None,
     cluster: "ClusterExecutor | None" = None,
-    kernel: str | None = None,
 ) -> ConnectivityReport:
     """Classify a TVG's behaviour over ``[start, end)``.
 
     With ``engine=`` the two reachability ratios come from batched
     sweeps (one per semantics) instead of ``2n`` searches, counted off
-    the bit-packed reachability form; ``shards``/``cluster``/``kernel``
-    thread through to those sweeps.
+    the bit-packed reachability form; ``cluster`` threads through to
+    those sweeps.
     """
     connected = sum(1 for t in range(start, end) if is_connected_at(graph, t))
     return ConnectivityReport(
@@ -103,10 +99,10 @@ def classify_connectivity(
         snapshots_total=end - start,
         wait_ratio=reachability_ratio(
             graph, start, WAIT, horizon=end, engine=engine,
-            shards=shards, cluster=cluster, kernel=kernel,
+            cluster=cluster,
         ),
         nowait_ratio=reachability_ratio(
             graph, start, NO_WAIT, horizon=end, engine=engine,
-            shards=shards, cluster=cluster, kernel=kernel,
+            cluster=cluster,
         ),
     )

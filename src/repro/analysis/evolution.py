@@ -91,9 +91,7 @@ def reachability_growth(
     end: int,
     semantics: WaitingSemantics = WAIT,
     engine: "TemporalEngine | None" = None,
-    shards: int | None = None,
     cluster: "ClusterExecutor | None" = None,
-    kernel: str | None = None,
 ) -> list[tuple[int, float]]:
     """``r(t)``: fraction of ordered pairs joined by a journey arriving
     by date ``t`` (journeys start at ``start``).
@@ -104,9 +102,8 @@ def reachability_growth(
     With ``engine=`` the curve derives from one batched arrival sweep:
     sort the off-diagonal earliest arrivals once, then each prefix is a
     binary search — O(n^2 log n) total instead of a full reachability
-    computation per prefix length.  ``shards`` partitions that sweep
-    across worker processes and ``cluster`` ships it to remote sweep
-    workers; the interpretive path ignores both.
+    computation per prefix length.  ``cluster`` ships that sweep to
+    remote sweep workers; the interpretive path ignores it.
     """
     require_window(start, end)
     nodes = list(graph.nodes)
@@ -117,8 +114,7 @@ def reachability_growth(
     if engine is not None:
         engine.require_graph(graph, "reachability_growth")
         _nodes, arrival = engine.arrival_matrix(
-            start, semantics, horizon=end, shards=shards, cluster=cluster,
-            kernel=kernel,
+            start, semantics, horizon=end, cluster=cluster
         )
         return growth_curve_from_arrivals(arrival, start, end)
     earliest: dict[tuple[Hashable, Hashable], int] = {}
@@ -172,24 +168,19 @@ def value_of_waiting(
     start: int,
     end: int,
     engine: "TemporalEngine | None" = None,
-    shards: int | None = None,
     cluster: "ClusterExecutor | None" = None,
-    kernel: str | None = None,
 ) -> WaitingValue:
     """Both growth curves and their integrated gap.
 
     With ``engine=`` the two curves cost exactly two batched arrival
-    sweeps (one per semantics), each shardable across processes via
-    ``shards``, across machines via ``cluster``, and run on the sweep
-    kernel named by ``kernel``.
+    sweeps (one per semantics), each shippable to remote sweep workers
+    via ``cluster``.
     """
     return WaitingValue(
         wait_curve=reachability_growth(
-            graph, start, end, WAIT, engine=engine, shards=shards,
-            cluster=cluster, kernel=kernel,
+            graph, start, end, WAIT, engine=engine, cluster=cluster
         ),
         nowait_curve=reachability_growth(
-            graph, start, end, NO_WAIT, engine=engine, shards=shards,
-            cluster=cluster, kernel=kernel,
+            graph, start, end, NO_WAIT, engine=engine, cluster=cluster
         ),
     )

@@ -50,6 +50,30 @@ def _semantics(text: str) -> WaitingSemantics:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _bounded(convert, name: str, accept):
+    """An argparse type: ``convert`` the text, then require ``accept``
+    of the value, so a flag the program cannot run with is a one-line
+    usage error at parse time instead of a traceback (or a silently
+    broken run) later."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid value {text!r}") from None
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {name}, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _bounded(int, "a positive integer", lambda v: v > 0)
+_non_negative_int = _bounded(int, "a non-negative integer", lambda v: v >= 0)
+_positive_float = _bounded(float, "a positive number", lambda v: v > 0)
+_probability = _bounded(float, "in [0, 1]", lambda v: 0.0 <= v <= 1.0)
+
+
 def _workers(text: str) -> list[str]:
     """A comma-separated ``host:port`` list, validated up front so a
     typo is a usage error at launch, not a per-sweep fallback."""
@@ -182,12 +206,10 @@ def cmd_reach(args: argparse.Namespace) -> int:
     # The gap needs the WAIT and NO_WAIT matrices anyway; reuse whichever
     # also answers the requested ratio instead of sweeping a third time.
     _nodes, with_wait = reachability_matrix(
-        graph, start, WAIT, horizon, engine=engine, shards=args.shards,
-        cluster=cluster, kernel=args.kernel,
+        graph, start, WAIT, horizon, engine=engine, cluster=cluster
     )
     _same, without = reachability_matrix(
-        graph, start, NO_WAIT, horizon, engine=engine, shards=args.shards,
-        cluster=cluster, kernel=args.kernel,
+        graph, start, NO_WAIT, horizon, engine=engine, cluster=cluster
     )
     gap = with_wait & ~without
     if args.semantics == WAIT:
@@ -196,8 +218,7 @@ def cmd_reach(args: argparse.Namespace) -> int:
         matrix = without
     else:
         _also, matrix = reachability_matrix(
-            graph, start, args.semantics, horizon, engine=engine,
-            shards=args.shards, cluster=cluster, kernel=args.kernel,
+            graph, start, args.semantics, horizon, engine=engine, cluster=cluster
         )
     n = graph.node_count
     ratio = 1.0 if n <= 1 else (int(matrix.sum()) - n) / (n * (n - 1))
@@ -242,8 +263,7 @@ def cmd_growth(args: argparse.Namespace) -> int:
     engine = None if args.engine == "interpretive" else TemporalEngine(graph)
     began = time.perf_counter()
     value = value_of_waiting(
-        graph, start, horizon, engine=engine, shards=args.shards,
-        cluster=_cluster(args), kernel=args.kernel,
+        graph, start, horizon, engine=engine, cluster=_cluster(args)
     )
     elapsed = time.perf_counter() - began
     saturation = value.wait_saturation_time
@@ -275,8 +295,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     max_tasks = DEFAULT_MAX_TASKS if args.max_tasks is None else args.max_tasks
     service = TVGService(
         graph, window=(start, horizon), cache_size=args.cache_size,
-        shards=args.shards, workers=args.workers,
-        worker_timeout=args.worker_timeout, kernel=args.kernel,
+        workers=args.workers, worker_timeout=args.worker_timeout,
         oversplit=args.oversplit, max_tasks=max_tasks,
     )
     limiter = None
@@ -391,15 +410,10 @@ def build_parser() -> argparse.ArgumentParser:
             "--trace", default=None, help="trace file (else a random TVG)"
         )
         command.add_argument("--nodes", type=int, default=32)
-        command.add_argument("--period", type=int, default=8)
-        command.add_argument("--density", type=float, default=0.1)
+        command.add_argument("--period", type=_positive_int, default=8)
+        command.add_argument("--density", type=_probability, default=0.1)
         command.add_argument("--seed", type=int, default=0)
         command.add_argument("--horizon", type=int, default=None)
-        command.add_argument(
-            "--shards", type=int, default=None,
-            help="shard the arrival sweep across N worker processes "
-            "(compiled engine only; tiny graphs stay serial)",
-        )
         command.add_argument(
             "--workers", type=_workers, default=None, metavar="HOST:PORT,...",
             help="ship arrival-sweep blocks to these remote sweep workers "
@@ -407,22 +421,17 @@ def build_parser() -> argparse.ArgumentParser:
             "locally, so answers never change",
         )
         command.add_argument(
-            "--worker-timeout", type=float, default=None, metavar="SECONDS",
+            "--worker-timeout", type=_positive_float, default=None,
+            metavar="SECONDS",
             help="seconds to wait per remote sweep job before re-running "
             "its block locally (default 30; raise it for sweeps whose "
             "blocks legitimately run long)",
         )
         command.add_argument(
-            "--oversplit", type=int, default=None, metavar="N",
+            "--oversplit", type=_positive_int, default=None, metavar="N",
             help="sweep blocks per worker on the shared work-stealing "
             "queue (default 4; higher smooths stragglers, 1 disables "
             "stealing)",
-        )
-        command.add_argument(
-            "--kernel", choices=["bitset", "bignum"], default=None,
-            help="arrival-sweep kernel: the packed-uint64 bitset kernel "
-            "(default) or the per-state bignum oracle (compiled engine "
-            "only; REPRO_SWEEP_KERNEL overrides the default)",
         )
         if engine_choice:
             command.add_argument(
@@ -456,29 +465,29 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--host", default="127.0.0.1")
     srv.add_argument("--port", type=int, default=7712)
     srv.add_argument(
-        "--cache-size", type=int, default=256,
+        "--cache-size", type=_positive_int, default=256,
         help="max memoized query results held across mutations",
     )
     srv.add_argument(
-        "--rate-limit", type=int, default=None,
+        "--rate-limit", type=_positive_int, default=None,
         help="per-client requests admitted per --rate-window (default: "
         "no rate limiting)",
     )
     srv.add_argument(
-        "--rate-window", type=float, default=1.0,
+        "--rate-window", type=_positive_float, default=1.0,
         help="sliding rate-limit window in seconds",
     )
     srv.add_argument(
-        "--rate-margin", type=int, default=0,
+        "--rate-margin", type=_non_negative_int, default=0,
         help="admit this many requests below the hard --rate-limit",
     )
     srv.add_argument(
-        "--max-inflight", type=int, default=None,
+        "--max-inflight", type=_positive_int, default=None,
         help="server-wide cap on concurrently dispatching requests "
         "(default: unbounded)",
     )
     srv.add_argument(
-        "--max-tasks", type=int, default=None,
+        "--max-tasks", type=_positive_int, default=None,
         help="bound on live background tasks in the submit/status/result "
         "table (default: 64)",
     )
@@ -521,7 +530,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    limit = getattr(args, "rate_limit", None)
+    if limit is not None and args.rate_margin >= limit:
+        parser.error(
+            f"--rate-margin {args.rate_margin} must be below --rate-limit {limit}"
+        )
     return args.handler(args)
 
 

@@ -22,7 +22,7 @@ from repro.core.latency import (
     function_latency,
     table_latency,
 )
-from repro.core.parallel import SweepPlan, sharded_arrival_matrix
+from repro.core.parallel import SweepPlan
 from repro.core.presence import (
     PresenceFunction,
     always,
@@ -76,6 +76,5 @@ __all__ = [
     "parse_semantics",
     "periodic_presence",
     "require_window",
-    "sharded_arrival_matrix",
     "table_latency",
 ]

@@ -57,7 +57,7 @@ if TYPE_CHECKING:  # pragma: no cover — typing only
     from repro.core.tvg import MutationDelta
     from repro.service.cluster import ClusterExecutor
 
-# The sentinel now lives with the kernels; re-exported here, its
+# The sentinel now lives with the sweep kernel; re-exported here, its
 # historical home, so ``from repro.core.engine import UNREACHED`` keeps
 # working everywhere.
 from repro.core.sweep_kernel import UNREACHED  # noqa: E402  (re-export)
@@ -311,9 +311,7 @@ class TemporalEngine:
         start_time: int,
         semantics: WaitingSemantics = NO_WAIT,
         horizon: int | None = None,
-        shards: int | None = None,
         cluster: "ClusterExecutor | None" = None,
-        kernel: str | None = None,
     ) -> tuple[list[Hashable], np.ndarray]:
         """All-pairs earliest arrivals, in one pass.
 
@@ -334,40 +332,21 @@ class TemporalEngine:
         bit to node ``j`` is the pair's earliest arrival.  One pass, no
         fixpoint iteration.
 
-        ``shards`` > 1 partitions the source set into blocks and sweeps
-        each in its own worker process
-        (:mod:`repro.core.parallel`) — element-for-element the same
-        matrix; requests of 1 shard (or tiny graphs, where process
-        overhead dominates) run the serial sweep.  ``cluster`` ships
-        the same blocks to *remote* sweep workers instead
-        (:mod:`repro.service.cluster`) — still the same matrix, with
-        any failed block transparently re-swept locally; it takes
-        precedence over ``shards`` when it routes the graph.
-
-        Every route lowers the sweep to one plain-data
-        :class:`~repro.core.parallel.SweepPlan` and runs a *sweep
-        kernel* over it (:mod:`repro.core.sweep_kernel`): the native
-        uint64 ``"bitset"`` kernel by default, or the per-state
-        ``"bignum"`` oracle via ``kernel=`` (or the
-        :envvar:`REPRO_SWEEP_KERNEL` environment variable).
+        The sweep is lowered to one plain-data
+        :class:`~repro.core.parallel.SweepPlan` and run by the bitset
+        kernel (:mod:`repro.core.sweep_kernel`).  ``cluster`` ships
+        source blocks of the same plan to *remote* sweep workers
+        instead (:mod:`repro.service.cluster`) — still the same matrix,
+        with any failed block transparently re-swept locally.
         """
         horizon = self._resolve_horizon(horizon)
         if cluster is not None and cluster.routes(self.graph.node_count):
-            return cluster.arrival_matrix(
-                self, start_time, semantics, horizon, kernel=kernel
-            )
-        if shards is not None:
-            from repro.core import parallel
-
-            if parallel.effective_shards(self.graph.node_count, shards) > 1:
-                return parallel.sharded_arrival_matrix(
-                    self, start_time, semantics, horizon, shards, kernel=kernel
-                )
+            return cluster.arrival_matrix(self, start_time, semantics, horizon)
         from repro.core.parallel import build_sweep_plan
         from repro.core.sweep_kernel import sweep_block
 
         nodes, plan = build_sweep_plan(self, start_time, semantics, horizon)
-        return nodes, sweep_block(plan, range(plan.n), kernel=kernel)
+        return nodes, sweep_block(plan, range(plan.n))
 
     def arrival_matrix_incremental(
         self,
@@ -376,7 +355,6 @@ class TemporalEngine:
         deltas: "Sequence[MutationDelta] | None",
         semantics: WaitingSemantics = NO_WAIT,
         horizon: int | None = None,
-        kernel: str | None = None,
         max_rows: int | None = None,
     ) -> tuple[list[Hashable], np.ndarray, int] | None:
         """Patch a cached arrival matrix across a mutation-delta chain.
@@ -399,7 +377,7 @@ class TemporalEngine:
         node additions (the matrix axes change), or a node-order
         mismatch with ``previous``.  ``max_rows`` optionally bounds the
         cone: a larger one also returns None, letting the caller prefer
-        a full (possibly sharded or clustered) sweep when re-sweeping
+        a full (possibly clustered) sweep when re-sweeping
         most rows anyway.  The input matrix is never mutated.
         """
         horizon = self._resolve_horizon(horizon)
@@ -426,7 +404,7 @@ class TemporalEngine:
             return nodes, prev_matrix.copy(), 0
         if max_rows is not None and rows.size > max_rows:
             return None
-        block = sweep_block(plan, rows.tolist(), kernel=kernel)
+        block = sweep_block(plan, rows.tolist())
         return nodes, merge_rows(prev_matrix, rows, block), int(rows.size)
 
     def reachability_packed(
@@ -434,9 +412,7 @@ class TemporalEngine:
         start_time: int,
         semantics: WaitingSemantics = NO_WAIT,
         horizon: int | None = None,
-        shards: int | None = None,
         cluster: "ClusterExecutor | None" = None,
-        kernel: str | None = None,
     ) -> tuple[list[Hashable], np.ndarray]:
         """Every source's reachable set, bit-packed — the primary form.
 
@@ -450,63 +426,24 @@ class TemporalEngine:
         finite.  Consumers that count or test bits
         (:mod:`repro.analysis.reachability`,
         :mod:`repro.analysis.connectivity`) work on this form directly —
-        popcounts and column compares are byte ops;
-        :meth:`reachability_masks` remains as a compatibility view that
-        rebuilds Python ints per column.
+        popcounts and column compares are byte ops.
         """
-        nodes, arrival = self.arrival_matrix(
-            start_time, semantics, horizon, shards, cluster, kernel
-        )
+        nodes, arrival = self.arrival_matrix(start_time, semantics, horizon, cluster)
         return nodes, np.packbits(arrival != UNREACHED, axis=0, bitorder="little")
-
-    def reachability_masks(
-        self,
-        start_time: int,
-        semantics: WaitingSemantics = NO_WAIT,
-        horizon: int | None = None,
-        shards: int | None = None,
-        cluster: "ClusterExecutor | None" = None,
-        kernel: str | None = None,
-    ) -> tuple[list[Hashable], list[int]]:
-        """Every source's reachable set as per-column Python int masks.
-
-        Compatibility view over :meth:`reachability_packed`: bit ``i``
-        of ``masks[j]`` says node ``nodes[j]`` is reachable from source
-        ``nodes[i]``.  The packed bytes are already little-endian with
-        row ``i`` at bit ``i``, so each column converts with one
-        ``int.from_bytes`` — prefer the packed form where the round
-        trip through bignums isn't needed.
-        """
-        nodes, packed = self.reachability_packed(
-            start_time, semantics, horizon, shards, cluster, kernel
-        )
-        if not nodes:
-            return nodes, []
-        column_bytes = packed.T.tobytes()
-        width = packed.shape[0]
-        masks = [
-            int.from_bytes(column_bytes[j * width : (j + 1) * width], "little")
-            for j in range(len(nodes))
-        ]
-        return nodes, masks
 
     def reachability_matrix(
         self,
         start_time: int,
         semantics: WaitingSemantics = NO_WAIT,
         horizon: int | None = None,
-        shards: int | None = None,
         cluster: "ClusterExecutor | None" = None,
-        kernel: str | None = None,
     ) -> tuple[list[Hashable], np.ndarray]:
         """Boolean reachability matrix via the batched sweep.
 
         Same contract as
         :func:`repro.analysis.reachability.reachability_matrix`.
         """
-        nodes, arrival = self.arrival_matrix(
-            start_time, semantics, horizon, shards, cluster, kernel
-        )
+        nodes, arrival = self.arrival_matrix(start_time, semantics, horizon, cluster)
         matrix = arrival != UNREACHED
         np.fill_diagonal(matrix, True)
         return nodes, matrix

@@ -1,34 +1,29 @@
-"""The process-sharded all-pairs arrival sweep.
+"""The arrival sweep lowered to plain data, and its source blocks.
 
-The batched bitmask sweep of
-:meth:`~repro.core.engine.TemporalEngine.arrival_matrix` is
-embarrassingly partitionable by *source blocks*: the arrival dates a
-sweep records for source ``i`` never depend on which other sources share
-the pass (masks are bookkeeping, not state), so splitting the source set
-into blocks and sweeping each block independently yields sub-matrices
-that stack into the exact serial matrix — element for element.
+Every route to the all-pairs arrival matrix — the serial
+:meth:`~repro.core.engine.TemporalEngine.arrival_matrix`, its
+incremental cone re-sweeps, and the distributed cluster workers
+(:mod:`repro.service.cluster`) — first lowers the sweep to a
+:class:`SweepPlan` and then runs :func:`~repro.core.sweep_kernel.sweep_block`
+over it.
 
-Sharding it across processes takes one extra step: a worker cannot hold
-the graph.  Presences and latencies are arbitrary Python callables
-(black-box :class:`~repro.core.presence.FunctionPresence`, lambda
-latencies) that may not pickle — and even when they do, re-evaluating a
-black-box predicate in ``k`` workers would break the engine's
-at-most-once-per-(edge, date) contract.  So the parent first *lowers the
-whole sweep to plain data*: a :class:`SweepPlan` of per-edge contact
-dates (black-box edges resolved through the engine's long-lived
-:class:`~repro.core.index.LazyContactCache`, so each predicate still
-fires at most once per (edge, date)) with the matching arrival dates
-precomputed (swallowing callable latencies), plus the CSR adjacency.
-The plan is tuples of ints — picklable, compact, and exactly what the
-block sweep :func:`sweep_block` needs.
+A plan is what a process that does not hold the graph needs.
+Presences and latencies are arbitrary Python callables (black-box
+:class:`~repro.core.presence.FunctionPresence`, lambda latencies) that
+may not pickle — and even when they do, re-evaluating a black-box
+predicate elsewhere would break the engine's at-most-once-per-(edge,
+date) contract.  So :func:`build_sweep_plan` resolves black-box edges
+through the engine's long-lived
+:class:`~repro.core.index.LazyContactCache` and precomputes the arrival
+date of every contact (swallowing callable latencies), leaving per-edge
+contact dates plus the CSR adjacency as tuples of ints.
 
-Workers then run the identical sweep over their block, with masks as
-wide as the *block* instead of the whole node set — on big graphs the
-serial sweep's masks are multi-word bignums, so blocks also shrink every
-mask merge to a few machine words.  ``benchmarks/bench_parallel.py``
-gates the resulting speedup; ``tests/properties/test_property_parallel``
-proves bit-for-bit equality with the serial sweep under all three
-waiting semantics, black-box edges included.
+The sweep partitions by *source blocks*: the arrival dates a sweep
+records for source ``i`` never depend on which other sources share the
+pass, so blocks from :func:`partition_sources`, swept independently,
+stack into the full matrix element for element.  The cluster ships
+those blocks to remote workers; ``tests/properties/test_property_kernel``
+proves the stacking exact under all three waiting semantics.
 """
 
 from __future__ import annotations
@@ -36,29 +31,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Hashable
 
-import numpy as np
-
 from repro.core.semantics import WaitingSemantics
-from repro.core.sweep_kernel import UNREACHED, resolve_kernel, sweep_block
 
-__all__ = [
-    "MIN_PARALLEL_NODES",
-    "SweepPlan",
-    "build_sweep_plan",
-    "partition_sources",
-    "sweep_block",
-    "effective_shards",
-    "sharded_arrival_matrix",
-    "UNREACHED",
-]
+__all__ = ["SweepPlan", "build_sweep_plan", "partition_sources"]
 
 if TYPE_CHECKING:  # pragma: no cover — typing only
     from repro.core.engine import TemporalEngine
-
-#: Below this many nodes the per-process overhead (fork + pickling the
-#: plan + stacking) dwarfs the sweep itself, so ``shards`` requests fall
-#: back to the serial sweep.
-MIN_PARALLEL_NODES: int = 8
 
 #: Lowered plans kept per engine (FIFO eviction); plans are O(edges x
 #: horizon) tuples, so a small handful bounds memory while still
@@ -98,7 +76,7 @@ def build_sweep_plan(
 ) -> tuple[list[Hashable], SweepPlan]:
     """Lower one sweep over ``engine``'s graph into a :class:`SweepPlan`.
 
-    Runs entirely in the parent: black-box presences are resolved here,
+    Runs where the graph lives: black-box presences are resolved here,
     through the engine's :class:`~repro.core.index.LazyContactCache`, so
     arbitrary predicates never need to pickle and each still fires at
     most once per (edge, date) across the engine's lifetime.  Returns
@@ -108,7 +86,7 @@ def build_sweep_plan(
     max_wait)`` — a plan is immutable plain data and the lowering loop
     is O(edges x horizon), so repeated sweeps of the same query (the
     incremental path re-sweeping a cone right after the full sweep that
-    seeded it, sharded blocks, retries) share one lowering.
+    seeded it, cluster retries) share one lowering.
     """
     key = (engine.graph.version, start_time, horizon, semantics.max_wait)
     memo = engine._plan_memo
@@ -142,9 +120,9 @@ def build_sweep_plan(
 
 
 def partition_sources(
-    n: int, shards: int, oversplit: int = 1
+    n: int, workers: int, oversplit: int = 1
 ) -> list[tuple[int, ...]]:
-    """Split sources ``0..n-1`` into at most ``shards * oversplit``
+    """Split sources ``0..n-1`` into at most ``workers * oversplit``
     contiguous, balanced, non-empty blocks (sizes differ by at most
     one).
 
@@ -153,97 +131,13 @@ def partition_sources(
     worker picks up blocks a straggler would otherwise still own — work
     stealing by construction, with no rebalancing protocol.
     """
-    shards = max(1, min(shards * max(1, oversplit), n))
-    base, extra = divmod(n, shards)
+    count = max(1, min(workers * max(1, oversplit), n))
+    base, extra = divmod(n, count)
     blocks: list[tuple[int, ...]] = []
     lo = 0
-    for b in range(shards):
+    for b in range(count):
         size = base + (1 if b < extra else 0)
         if size:
             blocks.append(tuple(range(lo, lo + size)))
         lo += size
     return blocks
-
-
-def effective_shards(n: int, shards: int | None) -> int:
-    """The worker count a request actually gets: 1 (serial) for absent
-    or unit requests, empty source sets, and tiny graphs, else
-    ``min(shards, n)``."""
-    if n <= 0 or shards is None or shards <= 1 or n < MIN_PARALLEL_NODES:
-        return 1
-    return min(shards, n)
-
-
-#: The worker's copy of the plan (and the kernel to run it on),
-#: installed once per process by the pool initializer — blocks are then
-#: the only per-task payload, so the plan (the big object: O(|E| x
-#: window) ints) is never re-pickled per shard.
-_WORKER_PLAN: SweepPlan | None = None
-_WORKER_KERNEL: str | None = None
-
-
-def _install_worker_plan(plan: SweepPlan, kernel: str | None = None) -> None:
-    global _WORKER_PLAN, _WORKER_KERNEL
-    _WORKER_PLAN = plan
-    _WORKER_KERNEL = kernel
-
-
-def _sweep_task(sources: tuple[int, ...]) -> np.ndarray:
-    """Module-level worker entry point (picklable by reference)."""
-    return sweep_block(_WORKER_PLAN, sources, kernel=_WORKER_KERNEL)
-
-
-def _pool_context():
-    import multiprocessing
-
-    # Fork keeps worker start cheap and inherits the warm interpreter;
-    # platforms without it (or with it disabled) use their default.
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover — non-fork platforms
-        return multiprocessing.get_context()
-
-
-def sharded_arrival_matrix(
-    engine: "TemporalEngine",
-    start_time: int,
-    semantics: WaitingSemantics,
-    horizon: int,
-    shards: int,
-    kernel: str | None = None,
-) -> tuple[list[Hashable], np.ndarray]:
-    """All-pairs earliest arrivals via ``shards`` worker processes.
-
-    Lowers the sweep to a :class:`SweepPlan` in the parent, ships it to
-    a process pool (one task per source block), and stacks the per-block
-    sub-matrices into the full ``(n, n)`` matrix — element for element
-    equal to :meth:`TemporalEngine.arrival_matrix` run serially.  Falls
-    back to in-process block sweeps if the platform refuses to spawn
-    workers, so the answer is never lost to sandboxing.  The kernel is
-    resolved in the parent (argument > environment > default) so every
-    worker runs the same one whatever its inherited environment says.
-    """
-    kernel = resolve_kernel(kernel)
-    nodes, plan = build_sweep_plan(engine, start_time, semantics, horizon)
-    if plan.n == 0:
-        # An empty source set has nothing to shard: answer the (0, n)
-        # matrix directly instead of spinning up a pool over no blocks.
-        return nodes, np.full((0, plan.n), UNREACHED, dtype=np.int64)
-    blocks = partition_sources(plan.n, shards)
-    if len(blocks) == 1:
-        return nodes, sweep_block(plan, blocks[0], kernel=kernel)
-    try:
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-
-        with ProcessPoolExecutor(
-            max_workers=len(blocks),
-            mp_context=_pool_context(),
-            initializer=_install_worker_plan,
-            initargs=(plan, kernel),
-        ) as pool:
-            parts = list(pool.map(_sweep_task, blocks))
-    except (OSError, BrokenProcessPool):  # pragma: no cover — hosts that
-        # forbid subprocesses outright or kill workers mid-flight
-        parts = [sweep_block(plan, block, kernel=kernel) for block in blocks]
-    return nodes, np.vstack(parts)

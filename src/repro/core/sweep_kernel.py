@@ -1,58 +1,36 @@
-"""The native sweep kernels behind the all-pairs arrival matrix.
+"""The sweep kernel behind the all-pairs arrival matrix.
 
 Every consumer of the batched arrival sweep — the serial
 :meth:`~repro.core.engine.TemporalEngine.arrival_matrix`, the
-process-sharded sweep (:mod:`repro.core.parallel`), the distributed
-cluster workers (:mod:`repro.service.cluster`), and the service's
-shared cached sweep — lowers the sweep to one plain-data
-:class:`~repro.core.parallel.SweepPlan` and then runs a *kernel* over
-it.  This module owns the kernels:
+distributed cluster workers (:mod:`repro.service.cluster`), and the
+service's shared cached sweep — lowers the sweep to one plain-data
+:class:`~repro.core.parallel.SweepPlan` and then runs
+:func:`sweep_block` over it, for all sources or one block of them.
 
-``bitset`` (the default)
-    The frontier is a ``(n, ceil(b/64))`` uint64 numpy matrix (``b`` =
-    source-block width): bit ``i`` of node ``j``'s row says source
-    ``i``'s journeys have mass pending at ``j``.  Pending states are
-    bucketed *by date* — arrivals are strictly later than departures
-    (latencies are positive), so every mask pending at date ``t`` is
-    final before any date-``t`` state is expanded, and a whole date
-    processes as vectorized row ops: ``new = mask & ~node_mask``,
-    ``node_mask |= new``, arrival stamping by ``np.unpackbits`` +
-    ``np.nonzero`` on the newly-set bits, and successor pushes grouped
-    per ``(arrival date, target)`` so frontier merges are one
-    ``np.bitwise_or.reduceat`` and a fancy-indexed ``|=`` instead of a
-    dict probe and a bignum OR per contact.
+The kernel is the single departure-ordered contact scan (the
+edge-stream earliest-arrival scheme of Wu et al., "Path Problems in
+Temporal Graphs", PVLDB 2014), run for a whole source block at once.
+The frontier is a ``(n, ceil(b/64))`` uint64 numpy matrix (``b`` =
+source-block width): bit ``i`` of node ``j``'s row says source ``i``'s
+journeys have mass pending at ``j``.  Pending states are bucketed *by
+date* — arrivals are strictly later than departures (latencies are
+positive), so every mask pending at date ``t`` is final before any
+date-``t`` state is expanded, and a whole date processes as vectorized
+row ops: ``new = mask & ~node_mask``, ``node_mask |= new``, arrival
+stamping by ``np.unpackbits`` + ``np.nonzero`` on the newly-set bits,
+and successor pushes grouped per ``(arrival date, target)`` so frontier
+merges are one ``np.bitwise_or.reduceat`` and a fancy-indexed ``|=``.
 
-``bignum``
-    The original per-state sweep: a heap of ``(date, node)`` states
-    whose masks are Python arbitrary-precision ints.  Kept as the
-    selectable ground-truth oracle — slower, but independent of every
-    numpy vectorization above, so the property suites can prove the
-    kernels bit-exactly equal (``tests/properties/test_property_kernel``
-    does, under all three waiting semantics, black-box presences
-    included).
-
-Kernel choice threads through ``kernel=`` keywords from the engine, the
-shard pool, the cluster executor, the service, and the CLI, and the
-:envvar:`REPRO_SWEEP_KERNEL` environment variable overrides the default
-for whole runs (the test suites re-run against either kernel via
-``pytest --sweep-kernel``).
-
-Both kernels report :class:`SweepStats` on request — pops, pushes, and
-*dead pops* (heap entries whose pending mass was already consumed).
-The date-bucketed queue pushes each date exactly once when its bucket
-is created, so the bitset kernel has none by construction; the bignum
-sweep historically spun dead pops on duplicate seed sources, fixed here
-by seeding one heap entry per distinct ``(node, date)`` key.
+``tests/properties/test_property_kernel.py`` proves the kernel bit-equal
+to a per-state heap sweep over Python-int masks (the block-level oracle
+kept under ``tests/``) and to the interpretive journey search, under all
+three waiting semantics, black-box presences included.
 """
 
 from __future__ import annotations
 
-import heapq
-import os
 import weakref
-from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
@@ -64,73 +42,6 @@ if TYPE_CHECKING:  # pragma: no cover — typing only
 #: date, so ``matrix <= t`` comparisons need no special casing.
 #: (Re-exported by :mod:`repro.core.engine`, its historical home.)
 UNREACHED: int = np.iinfo(np.int64).max
-
-#: The selectable sweep kernels, fastest first.
-KERNELS: tuple[str, ...] = ("bitset", "bignum")
-
-#: Kernel used when neither a ``kernel=`` argument nor the environment
-#: names one.
-DEFAULT_KERNEL: str = "bitset"
-
-#: Environment override for the default kernel — handy for re-running a
-#: whole suite or service against the bignum oracle without touching
-#: call sites.
-KERNEL_ENV: str = "REPRO_SWEEP_KERNEL"
-
-
-def resolve_kernel(kernel: str | None = None) -> str:
-    """The kernel a sweep actually runs: explicit argument first, then
-    :envvar:`REPRO_SWEEP_KERNEL`, then :data:`DEFAULT_KERNEL`.
-
-    Raises :class:`ValueError` for unknown names (including a bad
-    environment value), so a typo fails the first sweep loudly instead
-    of silently picking a default.
-    """
-    if kernel is None:
-        kernel = os.environ.get(KERNEL_ENV) or DEFAULT_KERNEL
-    if kernel not in KERNELS:
-        raise ValueError(
-            f"unknown sweep kernel {kernel!r}; choose from {', '.join(KERNELS)}"
-        )
-    return kernel
-
-
-@dataclass
-class SweepStats:
-    """Counters one kernel run fills in (pass ``stats=`` to collect).
-
-    ``pops`` counts queue entries that carried pending mass (dates for
-    the bitset kernel, ``(date, node)`` states for bignum), ``dead_pops``
-    the entries whose mass was already consumed when popped, and
-    ``pushes`` the successor merges performed.
-    """
-
-    kernel: str = ""
-    pops: int = 0
-    dead_pops: int = 0
-    pushes: int = 0
-
-
-def sweep_block(
-    plan: "SweepPlan",
-    sources: Sequence[int],
-    kernel: str | None = None,
-    stats: SweepStats | None = None,
-) -> np.ndarray:
-    """The arrival sweep of one source block, on the chosen kernel.
-
-    Row ``r`` of the returned ``(len(sources), plan.n)`` int64 matrix is
-    the earliest-arrival row of source ``sources[r]`` — identical
-    whichever kernel runs, because a source's arrival dates never depend
-    on which other sources share the pass (proven bit-exact by the
-    kernel property suite).
-    """
-    kernel = resolve_kernel(kernel)
-    if stats is not None:
-        stats.kernel = kernel
-    if kernel == "bignum":
-        return sweep_block_bignum(plan, sources, stats)
-    return sweep_block_bitset(plan, sources, stats)
 
 
 # -- incremental maintenance helpers ------------------------------------------
@@ -178,8 +89,8 @@ def merge_rows(
 
 class _BitsetLowering(NamedTuple):
     """A plan's contacts flattened, sorted, and grouped — everything in
-    :func:`sweep_block_bitset` that does not depend on the source block,
-    so repeated sweeps of one plan (sharded blocks, incremental cone
+    :func:`sweep_block` that does not depend on the source block, so
+    repeated sweeps of one plan (cluster blocks, incremental cone
     re-sweeps) pay the O(contacts) lowering once."""
 
     dep_s: np.ndarray
@@ -278,13 +189,13 @@ def _bitset_lowering(plan: "SweepPlan") -> _BitsetLowering:
     return lowered
 
 
-def sweep_block_bitset(
-    plan: "SweepPlan",
-    sources: Sequence[int],
-    stats: SweepStats | None = None,
-) -> np.ndarray:
-    """The date-bucketed uint64 contact-scan sweep (see the module
-    docstring).
+def sweep_block(plan: "SweepPlan", sources: Sequence[int]) -> np.ndarray:
+    """The arrival sweep of one source block (see the module docstring).
+
+    Row ``r`` of the returned ``(len(sources), plan.n)`` int64 matrix is
+    the earliest-arrival row of source ``sources[r]`` — a source's
+    arrival dates never depend on which other sources share the pass, so
+    stacked block sweeps equal the full sweep element for element.
 
     All contacts are sorted ONCE by (departure, arrival, target); the
     sweep then walks the merged date axis (contact departures, contact
@@ -302,7 +213,7 @@ def sweep_block_bitset(
     * bounded ``wait[w]`` — the OR of the buckets retained for the
       recency window ``[t - w, t]`` (an arrival *event*, re-arrivals of
       known bits included, keeps a bit eligible for ``w`` more dates —
-      exactly the bignum sweep's full-mask push discipline).
+      exactly the per-state heap sweep's full-mask push discipline).
 
     Each contact is therefore touched exactly once per sweep, and all
     pushes landing on the same (arrival date, target) merge with one
@@ -346,11 +257,9 @@ def sweep_block_bitset(
     #: ``date in [t - max_wait, t]``, oldest first.
     retained: deque[tuple[int, np.ndarray]] = deque()
 
-    pops = push_count = 0
     for di, t in enumerate(dates.tolist()):
         bucket = buckets.pop(t, None)
         if bucket is not None:
-            pops += 1
             active = np.flatnonzero(bucket.any(axis=1))
             masks = bucket[active]
             known = node_mask[active]
@@ -393,7 +302,6 @@ def sweep_block_bitset(
             eligible = next(it)[1][srcs].copy()
             for _d, held in it:
                 eligible |= held[srcs]
-        push_count += hi - lo
 
         # Merge pushes sharing an (arrival date, target) with ONE
         # or-reduce over the pre-sorted groups, drop the empty ones, and
@@ -418,83 +326,4 @@ def sweep_block_bitset(
                 buckets[date] = bucket_d
             bucket_d[group_tgt[a:z]] |= merged[a:z]
 
-    if stats is not None:
-        # The sorted date axis visits each date exactly once, so the
-        # bitset kernel has no dead pops by construction — recorded so
-        # the invariant is observable (and pinned by the unit tests).
-        stats.pops, stats.dead_pops, stats.pushes = pops, 0, push_count
-    return arrival
-
-
-# -- the bignum oracle ---------------------------------------------------------
-
-
-def sweep_block_bignum(
-    plan: "SweepPlan",
-    sources: Sequence[int],
-    stats: SweepStats | None = None,
-) -> np.ndarray:
-    """The per-state Python-int sweep — the ground-truth oracle.
-
-    Masks are block positions, so a block of ``b`` sources pays for
-    ``b``-bit merges however large the full graph is.  Each pending
-    ``(node, date)`` key gets exactly one heap entry (created with the
-    key, merged silently after), including duplicate seed sources — the
-    dead-pop churn the date-bucketed kernel designs away.
-    """
-    sources = tuple(sources)
-    arrival = np.full((len(sources), plan.n), UNREACHED, dtype=np.int64)
-    node_mask = [0] * plan.n
-    pending: dict[tuple[int, int], int] = {}
-    heap: list[tuple[int, int]] = []
-    start = plan.start_time
-    for row, node_idx in enumerate(sources):
-        key = (node_idx, start)
-        if key not in pending:
-            heapq.heappush(heap, (start, node_idx))
-            pending[key] = 0
-        pending[key] |= 1 << row
-    horizon = plan.horizon
-    max_wait = plan.max_wait
-    out_edges = plan.out_edges
-    target_idx = plan.target_idx
-    contacts = plan.contacts
-    arrivals = plan.arrivals
-    pops = dead_pops = push_count = 0
-    while heap:
-        time, node_idx = heapq.heappop(heap)
-        mask = pending.pop((node_idx, time), 0)
-        if not mask:
-            dead_pops += 1
-            continue
-        pops += 1
-        new = mask & ~node_mask[node_idx]
-        if new:
-            node_mask[node_idx] |= new
-            while new:
-                low = new & -new
-                arrival[low.bit_length() - 1, node_idx] = time
-                new ^= low
-        if time >= horizon:
-            continue
-        latest = horizon if max_wait is None else min(horizon, time + max_wait + 1)
-        for ei in out_edges[node_idx]:
-            dates = contacts[ei]
-            lo = bisect_left(dates, time)
-            hi = bisect_left(dates, latest, lo)
-            if lo == hi:
-                continue
-            arrs = arrivals[ei]
-            target = target_idx[ei]
-            for k in range(lo, hi):
-                push_count += 1
-                key = (target, arrs[k])
-                existing = pending.get(key)
-                if existing is None:
-                    pending[key] = mask
-                    heapq.heappush(heap, (arrs[k], target))
-                elif existing | mask != existing:
-                    pending[key] = existing | mask
-    if stats is not None:
-        stats.pops, stats.dead_pops, stats.pushes = pops, dead_pops, push_count
     return arrival

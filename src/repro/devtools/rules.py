@@ -5,7 +5,7 @@ dynamically — and therefore only on the paths the tests happen to
 drive.  Statically they hold everywhere or the gate goes red:
 
 * **RL001** layering — a ``repro.*`` module imports only its own layer
-  or below (the ROADMAP's presence → index → engine → shards → service
+  or below (the ROADMAP's presence → index → engine → analysis → service
   stack, with ``cli`` on top).
 * **RL002** version-bump completeness — every public
   ``TimeVaryingGraph`` method that writes graph state also bumps the

@@ -14,9 +14,11 @@ protocol (``python -m repro serve``), and ``wire`` defines the
 JSON-serializable specs for presences, latencies, semantics, sweep
 plans, and sub-matrices that cross the socket.  ``cluster`` distributes
 the arrival sweep itself: ``python -m repro worker`` runs a long-lived
-sweep executor and :class:`ClusterExecutor` ships ``(plan, block)``
-jobs to a fleet of them, re-sweeping any failed block locally so
-answers are always element-for-element equal to the serial sweep.
+sweep worker and :class:`ClusterExecutor` ships ``(plan, block)`` jobs
+to a fleet of them, re-sweeping any failed block locally so answers are
+always element-for-element equal to the serial sweep.  The worker
+doubles the cluster tests use (a chaos worker, an in-process loopback
+fleet) live in ``tests/doubles.py``, not here.
 
 ``limits`` and ``tasks`` harden the front end for real traffic:
 per-client sliding-window rate limiting with an admission gate on
@@ -30,7 +32,6 @@ from repro.service.cache import MISS, QueryCache
 from repro.service.client import ServiceClient
 from repro.service.cluster import (
     ClusterExecutor,
-    LoopbackWorkerPool,
     handle_worker_request,
     serve_worker,
 )
@@ -62,7 +63,6 @@ __all__ = [
     "BackgroundTask",
     "ClusterExecutor",
     "LatencyRecorder",
-    "LoopbackWorkerPool",
     "QueryCache",
     "RateLimiter",
     "ServiceClient",

@@ -1,9 +1,9 @@
 """The distributed arrival sweep: sweep workers and their executor.
 
-PR 4 sharded the all-pairs arrival sweep across *processes* by lowering
-it to a plain-data :class:`~repro.core.parallel.SweepPlan` and sweeping
-contiguous source blocks independently.  This module ships the same
-plan across *machines*: a **worker** (``python -m repro worker``) is a
+The all-pairs arrival sweep lowers to a plain-data
+:class:`~repro.core.parallel.SweepPlan` whose contiguous source blocks
+sweep independently and stack into the full matrix.  This module ships
+that plan across *machines*: a **worker** (``python -m repro worker``) is a
 long-lived process speaking the service's JSON-lines protocol whose one
 real operation is ``sweep`` — plan spec plus a source block in, the
 block's sub-matrix out (both base64-packed int64, see
@@ -45,7 +45,8 @@ sweep.  A cluster can therefore lose every worker and still answer;
 what degrades is latency, never the answer.  The fault-injecting
 differential harness in ``tests/properties/test_property_cluster.py``
 kills, hangs, corrupts, plan-evicts, and crashes workers mid-batch —
-and churns fleet membership — to prove it.
+and churns fleet membership — to prove it, with the chaos doubles in
+``tests/doubles.py``.
 
 Workers hold no graph and no *required* state between jobs: the plan
 cache is a pure performance memo (black-box presences were already
@@ -57,8 +58,6 @@ costs at most a plan re-ship.
 from __future__ import annotations
 
 import asyncio
-import json
-import socket
 import threading
 from collections import OrderedDict, deque
 from concurrent.futures import ThreadPoolExecutor
@@ -67,15 +66,9 @@ from typing import TYPE_CHECKING, Any, Hashable, Sequence
 import numpy as np
 
 from repro.core.engine import UNREACHED
-from repro.core.parallel import (
-    MIN_PARALLEL_NODES,
-    SweepPlan,
-    build_sweep_plan,
-    partition_sources,
-    sweep_block,
-)
+from repro.core.parallel import SweepPlan, build_sweep_plan, partition_sources
 from repro.core.semantics import WaitingSemantics
-from repro.core.sweep_kernel import KERNELS, resolve_kernel
+from repro.core.sweep_kernel import sweep_block
 from repro.errors import PlanMissError, ServiceError
 from repro.service.client import ServiceClient
 from repro.service.server import guarded_response, handle_json_lines
@@ -97,6 +90,10 @@ if TYPE_CHECKING:  # pragma: no cover — typing only
 #: (e.g. ~85 MB for one of two blocks of a 4000-node sweep).  1 GiB
 #: keeps the limit a runaway-frame guard, not a graph-size ceiling.
 WIRE_LIMIT: int = 2**30
+
+#: Graphs below this many nodes never route to the cluster: the wire
+#: costs more than the whole sweep there.
+MIN_CLUSTER_NODES: int = 8
 
 #: Default seconds the executor waits for one block job before re-running
 #: the block locally.
@@ -218,16 +215,11 @@ def dispatch_worker(op: str, params: dict, plans: PlanCache | None = None) -> An
             raise ServiceError("sweep sources must be a list of integers")
         if any(s < 0 or s >= plan.n for s in sources):
             raise ServiceError("sweep sources fall outside the plan's node range")
-        kernel = params.get("kernel")
-        if kernel is not None and kernel not in KERNELS:
-            raise ServiceError(
-                f"sweep kernel must be one of {', '.join(KERNELS)}"
-            )
-        result = matrix_to_spec(sweep_block(plan, tuple(sources), kernel=kernel))
+        result = matrix_to_spec(sweep_block(plan, tuple(sources)))
         # Echo the fingerprint of the job actually computed — the plan
-        # spec as stored plus the block and kernel — so the executor
-        # can tell this result answers *its* job and not a stale one.
-        result["fingerprint"] = plan_fingerprint(spec, (sources, kernel))
+        # spec as stored plus the block — so the executor can tell this
+        # result answers *its* job and not a stale one.
+        result["fingerprint"] = plan_fingerprint(spec, (sources,))
         return result
     if op == "stats":
         return {"plan_cache": plans.stats() if plans is not None else None}
@@ -351,15 +343,10 @@ class ClusterExecutor:
 
     ``workers`` is a sequence of ``"host:port"`` strings (or pairs);
     ``timeout`` bounds each block job before its local re-run;
-    ``min_nodes`` keeps tiny graphs on the serial path (mirroring
-    :func:`~repro.core.parallel.effective_shards` — the wire costs more
-    than the sweep there), overridable down to 0 for tests; ``kernel``
-    picks the sweep kernel for the whole fleet (validated eagerly, None
-    defers to the per-sweep argument / environment / default chain);
+    ``min_nodes`` keeps tiny graphs on the serial path
+    (:data:`MIN_CLUSTER_NODES`), overridable down to 0 for tests;
     ``oversplit`` sets the work-stealing ratio (blocks per worker on
-    the shared queue).  Jobs always ship an explicit kernel name, so
-    every worker — and every local re-run after a failure — computes on
-    the same kernel whatever its own environment says.
+    the shared queue).
 
     The fleet is *elastic*: :meth:`set_workers` re-resolves membership
     at any time, including while a sweep is in flight — departed
@@ -382,13 +369,11 @@ class ClusterExecutor:
         self,
         workers: Sequence[str | tuple[str, int]] | str,
         timeout: float = DEFAULT_TIMEOUT,
-        min_nodes: int = MIN_PARALLEL_NODES,
-        kernel: str | None = None,
+        min_nodes: int = MIN_CLUSTER_NODES,
         oversplit: int = DEFAULT_OVERSPLIT,
     ) -> None:
         self.timeout = timeout
         self.min_nodes = min_nodes
-        self.kernel = None if kernel is None else resolve_kernel(kernel)
         if oversplit < 1:
             raise ServiceError(f"oversplit must be >= 1, got {oversplit}")
         self.oversplit = oversplit
@@ -400,10 +385,6 @@ class ClusterExecutor:
         self.plan_misses = 0
         self.bytes_sent = 0
         self.bytes_received = 0
-        #: The kernel name resolved for the most recent sweep — what
-        #: :meth:`stats` reports, so observability matches what jobs
-        #: actually shipped instead of re-reading the environment.
-        self.last_kernel: str | None = None
         # worker -> bounded LRU of plan fingerprints we believe it holds
         # (mirrors the worker-side cache size, so beliefs age out at
         # roughly the same rate the worker evicts).
@@ -458,37 +439,29 @@ class ClusterExecutor:
         start_time: int,
         semantics: WaitingSemantics,
         horizon: int,
-        kernel: str | None = None,
     ) -> tuple[list[Hashable], np.ndarray]:
         """All-pairs earliest arrivals via the worker fleet.
 
         Lowers the sweep in the parent (black-box presences resolved
-        through the engine's LazyContactCache, exactly as the process
-        pool does) and distributes the blocks — element for element
-        equal to :meth:`TemporalEngine.arrival_matrix` run serially.
+        through the engine's LazyContactCache) and distributes the
+        blocks — element for element equal to
+        :meth:`TemporalEngine.arrival_matrix` run serially.
         """
         nodes, plan = build_sweep_plan(engine, start_time, semantics, horizon)
-        return nodes, self.sweep(plan, kernel=kernel)
+        return nodes, self.sweep(plan)
 
-    def sweep(self, plan: SweepPlan, kernel: str | None = None) -> np.ndarray:
-        """The full ``(n, n)`` matrix of one lowered plan.
-
-        The kernel resolves in the parent (call argument, then the
-        executor's configured kernel, then environment/default) and is
-        shipped with every job.
-        """
-        kernel = resolve_kernel(kernel if kernel is not None else self.kernel)
-        self.last_kernel = kernel
+    def sweep(self, plan: SweepPlan) -> np.ndarray:
+        """The full ``(n, n)`` matrix of one lowered plan."""
         if plan.n == 0:
             return np.full((0, plan.n), UNREACHED, dtype=np.int64)
         if not self.workers:
-            return sweep_block(plan, tuple(range(plan.n)), kernel=kernel)
+            return sweep_block(plan, tuple(range(plan.n)))
         blocks = partition_sources(plan.n, len(self.workers), self.oversplit)
-        parts = _run_sync(self._sweep_blocks(plan, blocks, kernel))
+        parts = _run_sync(self._sweep_blocks(plan, blocks))
         return np.vstack(parts)
 
     async def _sweep_blocks(
-        self, plan: SweepPlan, blocks: list[tuple[int, ...]], kernel: str
+        self, plan: SweepPlan, blocks: list[tuple[int, ...]]
     ) -> list[np.ndarray]:
         """The work-stealing scheduler: one shared block queue, one
         puller per live fleet member, membership re-read every poll.
@@ -510,7 +483,7 @@ class ClusterExecutor:
                 i, block = queue.popleft()
                 try:
                     results[i] = await self._run_block(
-                        spec, plan_key, plan, block, worker, kernel
+                        spec, plan_key, plan, block, worker
                     )
                 except BaseException:
                     # _run_block absorbs worker faults; anything that
@@ -532,7 +505,7 @@ class ClusterExecutor:
                         # reachable to begin pulling): drain locally.
                         i, block = queue.popleft()
                         results[i] = await asyncio.to_thread(
-                            sweep_block, plan, block, kernel
+                            sweep_block, plan, block
                         )
                     continue
                 await asyncio.wait(
@@ -553,13 +526,12 @@ class ClusterExecutor:
         plan: SweepPlan,
         block: tuple[int, ...],
         worker: tuple[str, int],
-        kernel: str,
     ) -> np.ndarray:
         """One block job: remote if the worker cooperates, local if not."""
         self.jobs_shipped += 1
         try:
             return await asyncio.wait_for(
-                self._remote_sweep(spec, plan_key, plan, block, worker, kernel),
+                self._remote_sweep(spec, plan_key, plan, block, worker),
                 self.timeout,
             )
         except asyncio.TimeoutError:
@@ -568,7 +540,7 @@ class ClusterExecutor:
             # which looks nothing like one that refuses connections.
             self.jobs_timed_out += 1
             self.jobs_recovered += 1
-            return await asyncio.to_thread(sweep_block, plan, block, kernel)
+            return await asyncio.to_thread(sweep_block, plan, block)
         except (
             ServiceError,
             OSError,          # refused/reset connections
@@ -582,9 +554,8 @@ class ClusterExecutor:
             # Off the event loop: the local re-sweep is CPU-bound and can
             # outlast the job timeout — run inline it would starve the
             # loop, stall the healthy workers' replies, and cascade their
-            # jobs into spurious timeout recoveries.  Same kernel as the
-            # failed job, so recovery cannot change what was computed.
-            return await asyncio.to_thread(sweep_block, plan, block, kernel)
+            # jobs into spurious timeout recoveries.
+            return await asyncio.to_thread(sweep_block, plan, block)
 
     async def _remote_sweep(
         self,
@@ -593,10 +564,9 @@ class ClusterExecutor:
         plan: SweepPlan,
         block: tuple[int, ...],
         worker: tuple[str, int],
-        kernel: str,
     ) -> np.ndarray:
         host, port = worker
-        expected = plan_fingerprint(spec, (list(block), kernel))
+        expected = plan_fingerprint(spec, (list(block),))
         client = await ServiceClient.connect(host, port, limit=WIRE_LIMIT)
         try:
             result = None
@@ -606,8 +576,7 @@ class ClusterExecutor:
                 # exactly one repair: fall through to the full re-ship.
                 try:
                     result = await client.request(
-                        "sweep", plan_key=plan_key, sources=list(block),
-                        kernel=kernel,
+                        "sweep", plan_key=plan_key, sources=list(block)
                     )
                 except ServiceError as exc:
                     if not _is_plan_miss(exc):
@@ -617,7 +586,7 @@ class ClusterExecutor:
             if result is None:
                 self.plans_shipped += 1
                 result = await client.request(
-                    "sweep", plan=spec, sources=list(block), kernel=kernel
+                    "sweep", plan=spec, sources=list(block)
                 )
             self._remember_plan(worker, plan_key)
         finally:
@@ -665,23 +634,11 @@ class ClusterExecutor:
     # -- observability ---------------------------------------------------------
 
     def stats(self) -> dict:
-        """A JSON-able snapshot of the executor's counters.
-
-        ``kernel`` is the kernel resolved at the *last sweep* (what the
-        jobs actually ran on); before any sweep it falls back to what
-        the next one would resolve to.  Reporting the environment's
-        current value instead would let ``stats()`` contradict reality
-        whenever :envvar:`REPRO_SWEEP_KERNEL` changed after a sweep.
-        """
+        """A JSON-able snapshot of the executor's counters."""
         return {
             "workers": [f"{host}:{port}" for host, port in self.workers],
             "timeout": self.timeout,
             "oversplit": self.oversplit,
-            "kernel": (
-                self.last_kernel
-                if self.last_kernel is not None
-                else resolve_kernel(self.kernel)
-            ),
             "jobs_shipped": self.jobs_shipped,
             "jobs_recovered": self.jobs_recovered,
             "jobs_timed_out": self.jobs_timed_out,
@@ -697,238 +654,3 @@ class ClusterExecutor:
             f"ClusterExecutor({len(self.workers)} workers, "
             f"{self.jobs_shipped} shipped, {self.jobs_recovered} recovered)"
         )
-
-
-class FaultyWorker:
-    """A TCP "sweep worker" that misbehaves on purpose — a chaos double.
-
-    The executor's only correctness obligation is that worker failures
-    never change an answer; this double injects the failure modes the
-    fault-handling path must absorb, for the differential harness
-    (``tests/properties/test_property_cluster.py``), the cluster unit
-    tests, and ad-hoc chaos runs against a live executor.  ``mode`` is
-    mutable mid-run:
-
-    * ``"kill"``     — accept the job, then close without answering;
-    * ``"hang"``     — accept the job and hold the connection silently
-      until :meth:`close` — the executor's *timeout* path must fire,
-      however long its configured timeout is (an earlier build held
-      only 10 s, so default-config chaos always manifested as EOF and
-      the timeout-recovery branch went unexercised);
-    * ``"corrupt"``  — answer with a line that is not JSON;
-    * ``"misshape"`` — answer ``ok: true`` with a well-formed matrix
-      spec of the wrong dimensions;
-    * ``"stale-plan-version"`` — answer ``ok: true`` with a matrix of
-      the *correct* shape but computed "from" a stale plan: the echoed
-      fingerprint hashes a doctored plan spec.  Before fingerprint
-      checking this was the silent-corruption hole — a shape check
-      alone accepts the frame and stacks wrong numbers into the answer;
-    * ``"plan-evicted"`` — answer *every* sweep job with a structured
-      plan-miss frame, even one that just shipped the full plan.  The
-      executor owes exactly one re-ship; a worker that claims eviction
-      forever must become a local re-sweep, never a loop;
-    * ``"steal-crash"`` — accept one job off the shared queue, then
-      die completely: no answer, listener closed, every later connect
-      refused.  The worst work-stealing case — a worker that grabs a
-      block and takes it to the grave mid-sweep.
-
-    Deliberately implemented on plain blocking sockets and threads, not
-    asyncio: it must be able to violate the protocol in ways the real
-    worker's framing never would.
-    """
-
-    def __init__(self, mode: str = "kill") -> None:
-        self.mode = mode
-        self._sock = socket.socket()
-        self._sock.bind(("127.0.0.1", 0))
-        self._sock.listen(8)
-        self.port = self._sock.getsockname()[1]
-        self.address = f"127.0.0.1:{self.port}"
-        self.jobs_seen = 0
-        self._stop = threading.Event()
-        self._thread = threading.Thread(
-            target=self._serve, name="faulty-worker", daemon=True
-        )
-        self._thread.start()
-
-    def _serve(self) -> None:
-        while not self._stop.is_set():
-            try:
-                conn, _peer = self._sock.accept()
-            except OSError:  # listener closed
-                return
-            threading.Thread(
-                target=self._handle, args=(conn,), daemon=True
-            ).start()
-
-    def _read_frame(self, conn) -> bytes | None:
-        data = b""
-        while not data.endswith(b"\n"):
-            chunk = conn.recv(1 << 16)
-            if not chunk:
-                return None
-            data += chunk
-        return data
-
-    def _handle(self, conn) -> None:
-        try:
-            conn.settimeout(10)
-            data = self._read_frame(conn)
-            if data is None:
-                return
-            self.jobs_seen += 1
-            mode = self.mode
-            if mode == "hang":
-                # Hold the connection until the double is closed: the
-                # executor must recover via its own timeout, whatever
-                # that timeout is — never via a premature EOF.
-                self._stop.wait()
-            elif mode == "corrupt":
-                conn.sendall(b"{this is not json\n")
-            elif mode == "misshape":
-                request = json.loads(data)
-                response = {
-                    "id": request.get("id"),
-                    "ok": True,
-                    "result": {
-                        "kind": "int64_matrix",
-                        "rows": 1,
-                        "cols": 1,
-                        "data": "AAAAAAAAAAA=",  # one packed int64 zero
-                    },
-                }
-                conn.sendall(json.dumps(response).encode() + b"\n")
-            elif mode == "stale-plan-version":
-                request = json.loads(data)
-                plan_spec = request.get("plan") or {}
-                sources = request.get("sources") or []
-                # Right shape, wrong contents: zeros for the block, and
-                # a fingerprint honestly computed — but from a plan one
-                # version behind the one the executor shipped.
-                stale_spec = dict(plan_spec)
-                stale_spec["start"] = int(plan_spec.get("start", 0) or 0) - 1
-                result = matrix_to_spec(
-                    np.zeros((len(sources), int(plan_spec.get("n", 0) or 0)),
-                             dtype=np.int64)
-                )
-                result["fingerprint"] = plan_fingerprint(
-                    stale_spec, (sources, request.get("kernel"))
-                )
-                response = {"id": request.get("id"), "ok": True, "result": result}
-                conn.sendall(json.dumps(response).encode() + b"\n")
-            elif mode == "plan-evicted":
-                # Claim eviction forever, even for jobs that carry the
-                # full plan — including the executor's one repair
-                # re-ship on this same connection.
-                while data is not None:
-                    request = json.loads(data)
-                    response = {
-                        "id": request.get("id"),
-                        "ok": False,
-                        "error": "PlanMissError: plan evicted (chaos)",
-                    }
-                    conn.sendall(json.dumps(response).encode() + b"\n")
-                    data = self._read_frame(conn)
-            elif mode == "steal-crash":
-                # Die with the accepted block: close this connection
-                # unanswered AND stop accepting new ones.  close() is
-                # idempotent, so a second crash is a no-op.
-                self.close()
-            # "kill": fall through and close without a byte in reply.
-        except OSError:  # pragma: no cover — peer raced the fault
-            pass
-        finally:
-            conn.close()
-
-    def __enter__(self) -> "FaultyWorker":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def close(self) -> None:
-        self._stop.set()
-        self._sock.close()
-
-
-class LoopbackWorkerPool:
-    """``count`` in-process sweep workers on a background event loop.
-
-    A context manager for tests, benchmarks, and trying the cluster
-    path without deploying anything: the workers are real asyncio
-    servers on loopback ports, indistinguishable on the wire from
-    ``python -m repro worker`` processes — they just share this
-    process's GIL, so they prove *plumbing*, not parallel speed-up.
-    Each worker owns its own :class:`PlanCache` (pass ``plan_cache_size``
-    to squeeze them for eviction tests).
-
-    ::
-
-        with LoopbackWorkerPool(2) as pool:
-            cluster = ClusterExecutor(pool.addresses)
-            nodes, matrix = engine.arrival_matrix(0, WAIT, horizon=20,
-                                                  cluster=cluster)
-    """
-
-    def __init__(self, count: int = 2, plan_cache_size: int | None = None) -> None:
-        self.count = count
-        self.plan_cache_size = plan_cache_size
-        self.addresses: list[str] = []
-        self.plan_caches: list[PlanCache] = []
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread: threading.Thread | None = None
-        self._servers: list[asyncio.AbstractServer] = []
-
-    def __enter__(self) -> "LoopbackWorkerPool":
-        self._loop = asyncio.new_event_loop()
-        started = threading.Event()
-
-        def run() -> None:
-            asyncio.set_event_loop(self._loop)
-            started.set()
-            self._loop.run_forever()
-
-        self._thread = threading.Thread(
-            target=run, name="loopback-workers", daemon=True
-        )
-        self._thread.start()
-        started.wait()
-        try:
-            for _ in range(self.count):
-                cache = (
-                    PlanCache()
-                    if self.plan_cache_size is None
-                    else PlanCache(max_plans=self.plan_cache_size)
-                )
-                server = asyncio.run_coroutine_threadsafe(
-                    serve_worker(port=0, plan_cache=cache), self._loop
-                ).result(timeout=10)
-                self._servers.append(server)
-                self.plan_caches.append(cache)
-                host, port = server.sockets[0].getsockname()[:2]
-                self.addresses.append(f"{host}:{port}")
-        except BaseException:
-            # A failed bind mid-startup must not leak the loop thread or
-            # the servers that did come up — __exit__ will never run.
-            self.__exit__(None, None, None)
-            raise
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        loop = self._loop
-        if loop is None:
-            return
-
-        async def shutdown() -> None:
-            for server in self._servers:
-                server.close()
-                await server.wait_closed()
-
-        asyncio.run_coroutine_threadsafe(shutdown(), loop).result(timeout=10)
-        loop.call_soon_threadsafe(loop.stop)
-        if self._thread is not None:
-            self._thread.join(timeout=10)
-        loop.close()
-        self._servers.clear()
-        self._loop = None
-        self._thread = None

@@ -131,18 +131,14 @@ class TVGService:
     """Answer reachability queries over a graph that mutates under you.
 
     ``cache_size`` bounds the number of memoized results; ``window``
-    optionally pre-declares the engine's compiled window.  ``shards``
-    opts cache-miss arrival sweeps into the process-sharded sweep
-    (:mod:`repro.core.parallel`); ``workers`` — a list of
-    ``"host:port"`` sweep-worker addresses (or a ready
-    :class:`~repro.service.cluster.ClusterExecutor`) — ships them to
-    remote workers instead, with any failed block re-swept locally,
-    each job bounded by ``worker_timeout`` seconds (ignored when a
-    ready executor is passed — it carries its own).  ``kernel`` picks
-    the sweep kernel (``"bitset"``/``"bignum"``,
-    :mod:`repro.core.sweep_kernel`) every cache-miss sweep runs on,
-    local, sharded, or clustered.  Answers are identical on every
-    route and kernel, so cache keys and hit behaviour don't change.
+    optionally pre-declares the engine's compiled window.  ``workers``
+    — a list of ``"host:port"`` sweep-worker addresses (or a ready
+    :class:`~repro.service.cluster.ClusterExecutor`) — ships cache-miss
+    arrival sweeps to remote workers, with any failed block re-swept
+    locally, each job bounded by ``worker_timeout`` seconds (ignored
+    when a ready executor is passed — it carries its own).  Answers are
+    identical on either route, so cache keys and hit behaviour don't
+    change.
     ``incremental`` picks the maintenance mode
     (:func:`resolve_incremental`): with it on, mutations *retain* old
     arrival matrices instead of purging them, and a later miss patches
@@ -157,15 +153,12 @@ class TVGService:
         graph: TimeVaryingGraph,
         window: Interval | tuple[int, int] | None = None,
         cache_size: int = 256,
-        shards: int | None = None,
         workers: "Sequence[str] | ClusterExecutor | None" = None,
         worker_timeout: float | None = None,
-        kernel: str | None = None,
         incremental: str | None = None,
         oversplit: int | None = None,
         max_tasks: int = DEFAULT_MAX_TASKS,
     ) -> None:
-        from repro.core.sweep_kernel import resolve_kernel
         from repro.service.cluster import (
             DEFAULT_OVERSPLIT,
             DEFAULT_TIMEOUT,
@@ -175,8 +168,6 @@ class TVGService:
         self.graph = graph
         self.engine = TemporalEngine(graph, window)
         self.cache = QueryCache(max_entries=cache_size)
-        self.shards = shards
-        self.kernel = None if kernel is None else resolve_kernel(kernel)
         self._worker_timeout = (
             DEFAULT_TIMEOUT if worker_timeout is None else worker_timeout
         )
@@ -185,8 +176,7 @@ class TVGService:
             self.cluster = workers
         else:
             self.cluster = ClusterExecutor(
-                workers, timeout=self._worker_timeout, kernel=self.kernel,
-                oversplit=self._oversplit,
+                workers, timeout=self._worker_timeout, oversplit=self._oversplit
             )
         self.incremental = resolve_incremental(incremental)
         self.tasks = TaskTable(max_tasks=max_tasks)
@@ -229,7 +219,7 @@ class TVGService:
         self, query: tuple, start: int, horizon: int, semantics: WaitingSemantics
     ) -> tuple[dict[Hashable, int], np.ndarray]:
         """One cache-miss matrix: incremental patch if possible, else a
-        full sweep on the configured route (shards/cluster/kernel)."""
+        full sweep on the configured route (local or cluster)."""
         if self.incremental != "off":
             found = self.cache.ancestor(query, self.graph.version)
             if found is not None:
@@ -240,8 +230,7 @@ class TVGService:
                     self.graph.deltas_since(ancestor_version),
                     semantics,
                     horizon,
-                    kernel=self.kernel,
-                    # "on" keeps full (sharded/clustered) sweeps for
+                    # "on" keeps full (possibly clustered) sweeps for
                     # cones covering most rows; "force" never does.
                     max_rows=(
                         None
@@ -257,8 +246,7 @@ class TVGService:
                     return {node: i for i, node in enumerate(nodes)}, merged
         self.full_sweeps += 1
         nodes, full = self.engine.arrival_matrix(
-            start, semantics, horizon=horizon, shards=self.shards,
-            cluster=self.cluster, kernel=self.kernel,
+            start, semantics, horizon=horizon, cluster=self.cluster
         )
         return {node: i for i, node in enumerate(nodes)}, full
 
@@ -324,8 +312,7 @@ class TVGService:
 
         def compute():
             report = classify_graph(
-                self.graph, start, end, engine=self.engine, shards=self.shards,
-                cluster=self.cluster, kernel=self.kernel,
+                self.graph, start, end, engine=self.engine, cluster=self.cluster
             )
             return {
                 "classes": sorted(report.classes),
@@ -439,10 +426,10 @@ class TVGService:
         Elastic membership: safe at any time, including while a
         clustered sweep is in flight (departed workers stop pulling
         blocks, joined workers start stealing from the live queue).  An
-        empty list detaches the cluster — later sweeps run locally (or
-        process-sharded); a non-empty list on a service built without
-        workers attaches a fresh executor with the service's configured
-        timeout, kernel, and oversplit.  Answers never change, only
+        empty list detaches the cluster — later sweeps run locally; a
+        non-empty list on a service built without workers attaches a
+        fresh executor with the service's configured timeout and
+        oversplit.  Answers never change, only
         where the blocks run.
         """
         from repro.service.cluster import ClusterExecutor
@@ -453,8 +440,7 @@ class TVGService:
             return []
         if self.cluster is None:
             self.cluster = ClusterExecutor(
-                workers, timeout=self._worker_timeout, kernel=self.kernel,
-                oversplit=self._oversplit,
+                workers, timeout=self._worker_timeout, oversplit=self._oversplit
             )
         else:
             self.cluster.set_workers(workers)
@@ -464,8 +450,6 @@ class TVGService:
 
     def stats(self) -> dict:
         """A JSON-able snapshot of service and cache state."""
-        from repro.core.sweep_kernel import resolve_kernel
-
         report = {
             "graph": {
                 "name": self.graph.name,
@@ -473,7 +457,6 @@ class TVGService:
                 "edges": self.graph.edge_count,
                 "version": self.graph.version,
             },
-            "kernel": resolve_kernel(self.kernel),
             "incremental": self.incremental,
             "queries_served": self.queries_served,
             "mutations_applied": self.mutations_applied,

@@ -15,6 +15,7 @@ import asyncio
 
 import numpy as np
 import pytest
+from doubles import FaultyWorker, LoopbackWorkerPool
 
 from repro.core.engine import TemporalEngine
 from repro.core.generators import periodic_random_tvg
@@ -25,8 +26,6 @@ from repro.core.time_domain import Lifetime
 from repro.core.tvg import TimeVaryingGraph
 from repro.service.cluster import (
     ClusterExecutor,
-    FaultyWorker,
-    LoopbackWorkerPool,
     _run_sync,
     handle_worker_request,
 )
@@ -141,11 +140,12 @@ class TestDistributedEqualsSerial:
         nodes, boolean = engine.reachability_matrix(
             0, WAIT, HORIZON, cluster=cluster
         )
-        _same, masks = engine.reachability_masks(0, WAIT, HORIZON, cluster=cluster)
+        _same, packed = engine.reachability_packed(0, WAIT, HORIZON, cluster=cluster)
         _also, serial = TemporalEngine(g).reachability_matrix(0, WAIT, HORIZON)
         assert np.array_equal(boolean, serial)
         for j in range(len(nodes)):
-            assert masks[j] == sum(1 << i for i in range(len(nodes)) if boolean[i, j])
+            mask = int.from_bytes(packed[:, j].tobytes(), "little")
+            assert mask == sum(1 << i for i in range(len(nodes)) if boolean[i, j])
 
     def test_tiny_graphs_stay_serial(self, pool):
         g = random_graph(n=4, seed=2)
@@ -285,9 +285,9 @@ class TestWorkerConcurrency:
 
 class TestPoolLifecycle:
     def test_startup_failure_leaks_no_loop_or_servers(self, monkeypatch):
-        import repro.service.cluster as cluster_mod
+        import doubles
 
-        real = cluster_mod.serve_worker
+        real = doubles.serve_worker
         calls = {"n": 0}
 
         async def flaky(host="127.0.0.1", port=0, plan_cache=None):
@@ -296,8 +296,8 @@ class TestPoolLifecycle:
                 raise OSError("no more ports")
             return await real(host, port, plan_cache)
 
-        monkeypatch.setattr(cluster_mod, "serve_worker", flaky)
-        pool = cluster_mod.LoopbackWorkerPool(2)
+        monkeypatch.setattr(doubles, "serve_worker", flaky)
+        pool = doubles.LoopbackWorkerPool(2)
         with pytest.raises(OSError, match="no more ports"):
             pool.__enter__()
         # The first worker's server and the loop thread were torn down.
@@ -510,25 +510,6 @@ class TestElasticFleet:
             ClusterExecutor([], oversplit=0)
 
 
-class TestStatsKernel:
-    def test_stats_report_the_last_swept_kernel(self, pool, monkeypatch):
-        """Regression: stats() used to re-resolve REPRO_SWEEP_KERNEL at
-        stats time, so flipping the environment after a sweep made the
-        report contradict what the jobs actually ran on."""
-        g = random_graph()
-        cluster = ClusterExecutor(pool.addresses)
-        monkeypatch.setenv("REPRO_SWEEP_KERNEL", "bitset")
-        TemporalEngine(g).arrival_matrix(0, WAIT, horizon=HORIZON, cluster=cluster)
-        assert cluster.stats()["kernel"] == "bitset"
-        monkeypatch.setenv("REPRO_SWEEP_KERNEL", "bignum")
-        assert cluster.stats()["kernel"] == "bitset"  # what actually ran
-        TemporalEngine(g).arrival_matrix(0, WAIT, horizon=HORIZON, cluster=cluster)
-        assert cluster.stats()["kernel"] == "bignum"
-
-    def test_stats_before_any_sweep_report_the_resolved_default(self):
-        assert ClusterExecutor([], kernel="bignum").stats()["kernel"] == "bignum"
-
-
 class TestServiceIntegration:
     def test_service_with_workers_matches_local_service(self, pool):
         g = random_graph()
@@ -551,7 +532,7 @@ class TestServiceIntegration:
 
     def test_service_set_workers_attaches_and_detaches_the_fleet(self, pool):
         service = TVGService(
-            random_graph(), worker_timeout=2.5, kernel="bitset", oversplit=3
+            random_graph(), worker_timeout=2.5, oversplit=3
         )
         assert service.cluster is None
         resolved = service.set_workers(pool.addresses)

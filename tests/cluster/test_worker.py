@@ -3,8 +3,8 @@
 The worker dispatcher (:func:`repro.service.cluster.dispatch_worker`)
 is a plain function — plan spec plus source block in, packed sub-matrix
 out — so its whole contract is testable without opening a port: the
-returned matrix must equal :func:`~repro.core.parallel.sweep_block` on
-the same inputs, and every malformed request must come back as a
+returned matrix must equal :func:`~repro.core.sweep_kernel.sweep_block`
+on the same inputs, and every malformed request must come back as a
 structured error frame, never a crash.
 """
 
@@ -13,8 +13,9 @@ import pytest
 
 from repro.core.engine import TemporalEngine
 from repro.core.generators import periodic_random_tvg
-from repro.core.parallel import build_sweep_plan, partition_sources, sweep_block
+from repro.core.parallel import build_sweep_plan, partition_sources
 from repro.core.semantics import NO_WAIT, WAIT, bounded_wait
+from repro.core.sweep_kernel import sweep_block
 from repro.errors import PlanMissError, ServiceError
 from repro.service.cluster import (
     ClusterExecutor,
@@ -98,7 +99,7 @@ class TestPlanCacheProtocol:
         )
         assert np.array_equal(matrix_from_spec(result), serial[1:3])
         # Both routes echo the fingerprint of the job actually computed.
-        assert result["fingerprint"] == plan_fingerprint(spec, ([1, 2], None))
+        assert result["fingerprint"] == plan_fingerprint(spec, ([1, 2],))
 
     def test_unknown_fingerprint_is_a_plan_miss(self):
         plans = PlanCache()
@@ -236,7 +237,7 @@ class TestExecutorWithoutWorkers:
         cluster = ClusterExecutor(["127.0.0.1:7713"])
         assert cluster.routes(100)
         assert not cluster.routes(0)
-        assert not cluster.routes(3)  # below MIN_PARALLEL_NODES
+        assert not cluster.routes(3)  # below MIN_CLUSTER_NODES
         assert not ClusterExecutor([]).routes(100)
         assert ClusterExecutor(["127.0.0.1:7713"], min_nodes=0).routes(1)
 

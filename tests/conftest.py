@@ -12,14 +12,6 @@ from repro.core.generators import periodic_random_tvg
 
 def pytest_addoption(parser: pytest.Parser) -> None:
     parser.addoption(
-        "--sweep-kernel",
-        choices=["bitset", "bignum"],
-        default=None,
-        help="run every arrival sweep that doesn't pin its own kernel on "
-        "this one (sets REPRO_SWEEP_KERNEL), so the whole suite re-runs "
-        "against either kernel",
-    )
-    parser.addoption(
         "--incremental",
         choices=["off", "on", "force"],
         default=None,
@@ -31,9 +23,6 @@ def pytest_addoption(parser: pytest.Parser) -> None:
 
 
 def pytest_configure(config: pytest.Config) -> None:
-    kernel = config.getoption("--sweep-kernel")
-    if kernel is not None:
-        os.environ["REPRO_SWEEP_KERNEL"] = kernel
     incremental = config.getoption("--incremental")
     if incremental is not None:
         os.environ["REPRO_INCREMENTAL"] = incremental

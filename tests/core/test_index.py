@@ -257,7 +257,7 @@ class TestArrivalMatrix:
         g = build_graph()
         engine = TemporalEngine(g)
         nodes, arrival = engine.arrival_matrix(0, WAIT)
-        _same, masks = engine.reachability_masks(0, WAIT)
+        _same, packed = engine.reachability_packed(0, WAIT)
         _also, boolean = engine.reachability_matrix(0, WAIT)
         assert np.array_equal(boolean, arrival != UNREACHED)
         for j in range(len(nodes)):
@@ -265,7 +265,7 @@ class TestArrivalMatrix:
             for i in range(len(nodes)):
                 if arrival[i, j] != UNREACHED:
                     expected |= 1 << i
-            assert masks[j] == expected
+            assert int.from_bytes(packed[:, j].tobytes(), "little") == expected
 
     def test_arrivals_past_horizon_are_kept(self):
         # b->c departs at 3 (the last date < horizon) with unit latency:

@@ -274,7 +274,7 @@ class TestSegmentAdjacency:
     absorbed (not skipped) when it merely *touches* the query — scanned
     ``hi == start`` or ``lo == end`` — and a bridging query across two
     disjoint segments scans exactly the gap between them.  Pins the
-    at-most-once-per-(edge, date) contract the sharded sweep's parent
+    at-most-once-per-(edge, date) contract the sweep plan's
     pre-lowering relies on."""
 
     def _cache(self, horizon=40):

@@ -1,12 +1,12 @@
-"""Tests for the process-sharded arrival sweep (:mod:`repro.core.parallel`).
+"""Tests for the lowered sweep plan and its source blocks
+(:mod:`repro.core.parallel`).
 
-The sharding contract: partitioning the source set into blocks, sweeping
-each block (in a worker process or not), and stacking the sub-matrices
-must reproduce the serial sweep element for element — with black-box
-presences lowered in the *parent* through the engine's LazyContactCache,
-so arbitrary predicates never pickle and each fires at most once per
-(edge, date).  Tests that actually spawn worker processes carry the
-``slow`` marker so the fast gate stays sandbox-friendly.
+The block contract, which the cluster relies on: partitioning the source
+set into blocks, sweeping each block, and stacking the sub-matrices must
+reproduce the full sweep element for element — with black-box presences
+lowered where the graph lives, through the engine's LazyContactCache, so
+arbitrary predicates never pickle and each fires at most once per
+(edge, date).
 """
 
 import pickle
@@ -14,20 +14,13 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.core import parallel
 from repro.core.engine import UNREACHED, TemporalEngine
 from repro.core.generators import periodic_random_tvg
 from repro.core.latency import function_latency
-from repro.core.parallel import (
-    MIN_PARALLEL_NODES,
-    build_sweep_plan,
-    effective_shards,
-    partition_sources,
-    sharded_arrival_matrix,
-    sweep_block,
-)
+from repro.core.parallel import build_sweep_plan, partition_sources
 from repro.core.presence import function_presence, periodic_presence
 from repro.core.semantics import NO_WAIT, WAIT, bounded_wait
+from repro.core.sweep_kernel import sweep_block
 from repro.core.time_domain import Lifetime
 from repro.core.tvg import TimeVaryingGraph
 
@@ -77,22 +70,15 @@ def blackbox_ring(n=10, horizon=HORIZON):
 class TestPartition:
     def test_blocks_cover_all_sources_in_order(self):
         for n in (1, 2, 7, 8, 20):
-            for shards in (1, 2, 3, 4, 50):
-                blocks = partition_sources(n, shards)
+            for workers in (1, 2, 3, 4, 50):
+                blocks = partition_sources(n, workers)
                 assert [i for block in blocks for i in block] == list(range(n))
                 assert all(block for block in blocks)
-                assert len(blocks) == min(shards, n) if n else not blocks
+                assert len(blocks) == min(workers, n) if n else not blocks
 
     def test_blocks_are_balanced(self):
         sizes = [len(b) for b in partition_sources(10, 4)]
         assert sorted(sizes) == [2, 2, 3, 3]
-
-    def test_effective_shards_policy(self):
-        assert effective_shards(100, None) == 1
-        assert effective_shards(100, 1) == 1
-        assert effective_shards(MIN_PARALLEL_NODES - 1, 4) == 1  # tiny graph
-        assert effective_shards(MIN_PARALLEL_NODES, 4) == 4
-        assert effective_shards(10, 64) == 10  # clamped to the node count
 
     def test_more_shards_than_sources_never_yields_empty_blocks(self):
         for n in (1, 2, 5):
@@ -111,18 +97,14 @@ class TestPartition:
 
     def test_blocks_are_contiguous_and_disjoint(self):
         for n in (5, 9, 16):
-            for shards in (2, 3, 4, 7):
-                blocks = partition_sources(n, shards)
+            for workers in (2, 3, 4, 7):
+                blocks = partition_sources(n, workers)
                 seen: set[int] = set()
                 for block in blocks:
                     assert block == tuple(range(block[0], block[-1] + 1))
                     assert not seen & set(block)
                     seen |= set(block)
                 assert seen == set(range(n))
-
-    def test_empty_source_set_never_reaches_effective_shards(self):
-        assert effective_shards(0, 8) == 1
-        assert effective_shards(0, None) == 1
 
 
 class TestSweepPlan:
@@ -154,13 +136,13 @@ class TestSweepPlan:
 
 class TestBlockSweepEquality:
     @pytest.mark.parametrize("semantics", SEMANTICS)
-    @pytest.mark.parametrize("shards", [2, 3, 5])
-    def test_stacked_blocks_equal_serial(self, semantics, shards):
+    @pytest.mark.parametrize("workers", [2, 3, 5])
+    def test_stacked_blocks_equal_serial(self, semantics, workers):
         g = random_graph()
         engine = TemporalEngine(g)
         _nodes, serial = engine.arrival_matrix(0, semantics, horizon=HORIZON)
         nodes, plan = build_sweep_plan(engine, 0, semantics, HORIZON)
-        blocks = partition_sources(plan.n, shards)
+        blocks = partition_sources(plan.n, workers)
         stacked = np.vstack([sweep_block(plan, block) for block in blocks])
         assert np.array_equal(stacked, serial)
 
@@ -195,98 +177,7 @@ class TestBlockSweepEquality:
 
 
 class TestEngineFallbacks:
-    def test_one_shard_stays_serial(self, monkeypatch):
-        def boom(*args, **kwargs):  # pragma: no cover — fails the test
-            raise AssertionError("sharded path taken for shards=1")
-
-        monkeypatch.setattr(parallel, "sharded_arrival_matrix", boom)
-        g = random_graph()
-        engine = TemporalEngine(g)
-        nodes, matrix = engine.arrival_matrix(0, WAIT, horizon=HORIZON, shards=1)
-        assert matrix.shape == (len(nodes), len(nodes))
-
-    def test_tiny_graph_stays_serial(self, monkeypatch):
-        def boom(*args, **kwargs):  # pragma: no cover — fails the test
-            raise AssertionError("sharded path taken for a tiny graph")
-
-        monkeypatch.setattr(parallel, "sharded_arrival_matrix", boom)
-        g = random_graph(n=MIN_PARALLEL_NODES - 1)
-        engine = TemporalEngine(g)
-        nodes, matrix = engine.arrival_matrix(0, WAIT, horizon=HORIZON, shards=8)
-        assert matrix.shape == (len(nodes), len(nodes))
-
-    def test_empty_graph_stays_serial_and_answers_0xn(self, monkeypatch):
-        def boom(*args, **kwargs):  # pragma: no cover — fails the test
-            raise AssertionError("sharded path taken for an empty source set")
-
-        monkeypatch.setattr(parallel, "sharded_arrival_matrix", boom)
+    def test_empty_graph_stays_serial_and_answers_0xn(self):
         g = TimeVaryingGraph(lifetime=Lifetime(0, HORIZON), name="empty")
-        nodes, matrix = TemporalEngine(g).arrival_matrix(
-            0, WAIT, horizon=HORIZON, shards=8
-        )
+        nodes, matrix = TemporalEngine(g).arrival_matrix(0, WAIT, horizon=HORIZON)
         assert nodes == [] and matrix.shape == (0, 0)
-
-    def test_sharded_call_on_empty_sources_never_opens_a_pool(self, monkeypatch):
-        import concurrent.futures
-
-        def boom(*args, **kwargs):  # pragma: no cover — fails the test
-            raise AssertionError("a pool was spun up for an empty source set")
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", boom)
-        g = TimeVaryingGraph(lifetime=Lifetime(0, HORIZON), name="empty")
-        nodes, matrix = sharded_arrival_matrix(TemporalEngine(g), 0, WAIT, HORIZON, 4)
-        assert nodes == []
-        assert matrix.shape == (0, 0) and matrix.dtype == np.int64
-
-
-@pytest.mark.slow
-class TestMultiprocessSharding:
-    """End-to-end through real worker processes (hence ``slow``)."""
-
-    @pytest.mark.parametrize("semantics", SEMANTICS)
-    def test_engine_shards_equal_serial(self, semantics):
-        g = random_graph(n=16, seed=11)
-        serial_engine, sharded_engine = TemporalEngine(g), TemporalEngine(g)
-        nodes, serial = serial_engine.arrival_matrix(0, semantics, horizon=HORIZON)
-        same, sharded = sharded_engine.arrival_matrix(
-            0, semantics, horizon=HORIZON, shards=4
-        )
-        assert nodes == same
-        assert np.array_equal(serial, sharded)
-
-    def test_blackbox_graph_through_processes(self):
-        g, predicates = blackbox_ring(n=12)
-        engine = TemporalEngine(g)
-        nodes, sharded = engine.arrival_matrix(0, WAIT, shards=3)
-        # The workers never touched the predicates: the parent's call
-        # log is complete (every date lowered once) and duplicate-free.
-        # (Checked before the serial oracle runs — its own fresh engine
-        # legitimately rescans through a second cache.)
-        for predicate in predicates:
-            assert sorted(set(predicate.calls)) == list(range(0, HORIZON))
-            assert predicate.max_calls_per_date() == 1
-        _same, serial = TemporalEngine(g).arrival_matrix(0, WAIT)
-        assert np.array_equal(serial, sharded)
-
-    def test_derived_views_accept_shards(self):
-        g = random_graph(n=12, seed=5)
-        engine = TemporalEngine(g)
-        nodes, boolean = engine.reachability_matrix(0, WAIT, HORIZON, shards=2)
-        _same, masks = engine.reachability_masks(0, WAIT, HORIZON, shards=2)
-        _also, serial = TemporalEngine(g).reachability_matrix(0, WAIT, HORIZON)
-        assert np.array_equal(boolean, serial)
-        for j in range(len(nodes)):
-            assert masks[j] == sum(
-                1 << i for i in range(len(nodes)) if boolean[i, j]
-            )
-
-    def test_direct_sharded_call(self):
-        g = random_graph(n=10, seed=9)
-        engine = TemporalEngine(g)
-        nodes, sharded = sharded_arrival_matrix(
-            engine, 0, bounded_wait(1), HORIZON, 4
-        )
-        _same, serial = TemporalEngine(g).arrival_matrix(
-            0, bounded_wait(1), horizon=HORIZON
-        )
-        assert np.array_equal(serial, sharded)

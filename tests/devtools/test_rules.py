@@ -182,8 +182,8 @@ class TestRL005AsyncHygiene:
     def test_offloaded_sweep_is_clean(self):
         src = (
             "import asyncio\n"
-            "async def run(plan, block, kernel):\n"
-            "    return await asyncio.to_thread(sweep_block, plan, block, kernel)\n"
+            "async def run(plan, block):\n"
+            "    return await asyncio.to_thread(sweep_block, plan, block)\n"
         )
         assert rules_fired(src, "repro.service.cluster") == []
 
@@ -197,8 +197,8 @@ class TestRL005AsyncHygiene:
 
     def test_direct_sweep_block_call_is_flagged(self):
         src = (
-            "async def run(plan, block, kernel):\n"
-            "    return sweep_block(plan, block, kernel=kernel)\n"
+            "async def run(plan, block):\n"
+            "    return sweep_block(plan, block)\n"
         )
         assert rules_fired(src, "repro.service.cluster") == ["RL005"]
 

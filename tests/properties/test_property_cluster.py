@@ -14,7 +14,7 @@ Two layers of proof on top of PR 4's in-process sharding equivalence:
 * **fault-injected equivalence** — a Hypothesis *stateful* harness
   drives a real :class:`~repro.service.cluster.ClusterExecutor` over
   real loopback workers, one of which is a
-  :class:`~repro.service.cluster.FaultyWorker` whose failure mode
+  ``FaultyWorker`` (``tests/doubles.py``) whose failure mode
   (kill/hang/corrupt/misshape/stale-plan-version/plan-evicted/
   steal-crash) the schedule rotates mid-run, while mutations (edge
   add/remove, presence swaps, black-box schedules) interleave with
@@ -32,22 +32,24 @@ import threading
 
 import numpy as np
 import pytest
+from doubles import FaultyWorker, LoopbackWorkerPool
 from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, precondition, rule
 
 from repro.core.engine import UNREACHED, TemporalEngine
 from repro.core.latency import constant_latency
-from repro.core.parallel import SweepPlan, build_sweep_plan, sweep_block
+from repro.core.parallel import SweepPlan, build_sweep_plan
 from repro.core.presence import (
     function_presence,
     interval_presence,
     periodic_presence,
 )
 from repro.core.semantics import NO_WAIT, WAIT, bounded_wait
+from repro.core.sweep_kernel import sweep_block
 from repro.core.time_domain import Lifetime
 from repro.core.traversal import earliest_arrivals
 from repro.core.tvg import TimeVaryingGraph
-from repro.service.cluster import ClusterExecutor, FaultyWorker, LoopbackWorkerPool
+from repro.service.cluster import ClusterExecutor
 from repro.service.wire import plan_from_spec, plan_to_spec
 
 HORIZON = 10

@@ -3,8 +3,9 @@
 The incremental path — dirty-edge deltas out of the graph, cone of
 affected source rows out of the old matrix, re-sweep of just that cone
 merged over the cached result — must be *entry-for-entry equal* to a
-from-scratch sweep on every schedule, under all three waiting semantics
-and on both sweep kernels.  Two layers attack it:
+from-scratch sweep on every schedule, under all three waiting semantics,
+checked against both the production kernel and the bignum oracle in
+``tests/doubles.py``.  Two layers attack it:
 
 * a **stateful machine** drives a :class:`TVGService` pinned to
   ``incremental="force"`` (every applicable cache miss takes the patch
@@ -12,7 +13,7 @@ and on both sweep kernels.  Two layers attack it:
   over structured *and* black-box schedules, and the nasty
   remove-then-re-add of the same key — and checks every matrix entry
   against a from-scratch sweep on an independently-mirrored shadow
-  graph; one machine per kernel;
+  graph; one machine per scratch oracle;
 
 * a **direct engine-level property** applies an arbitrary mutation
   batch to a random graph and checks
@@ -23,6 +24,7 @@ and on both sweep kernels.  Two layers attack it:
 
 import numpy as np
 import pytest
+from doubles import sweep_block_bignum
 from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -32,6 +34,7 @@ from hypothesis.stateful import (
 
 from repro.core.engine import TemporalEngine
 from repro.core.latency import constant_latency
+from repro.core.parallel import build_sweep_plan
 from repro.core.presence import (
     function_presence,
     interval_presence,
@@ -54,6 +57,16 @@ semantics_strategy = st.one_of(
 )
 
 endpoints_strategy = st.permutations(NODES).map(lambda order: tuple(order[:2]))
+
+
+def scratch_matrix(graph, start, semantics, oracle):
+    """A from-scratch matrix through a fresh engine: the production
+    kernel (``"bitset"``) or the bignum oracle over the same plan."""
+    engine = TemporalEngine(graph)
+    if oracle == "bignum":
+        nodes, plan = build_sweep_plan(engine, start, semantics, HORIZON)
+        return nodes, sweep_block_bignum(plan, range(plan.n))
+    return engine.arrival_matrix(start, semantics, horizon=HORIZON)
 
 
 class _ResiduePredicate:
@@ -99,15 +112,12 @@ class IncrementalDifferentialMachine(RuleBasedStateMachine):
     the service's caches can leak into the oracle.
     """
 
-    kernel = "bitset"
+    oracle = "bitset"
 
     def __init__(self) -> None:
         super().__init__()
         self.service = TVGService(
-            self._fresh_graph("served"),
-            cache_size=64,
-            kernel=self.kernel,
-            incremental="force",
+            self._fresh_graph("served"), cache_size=64, incremental="force"
         )
         self.shadow = self._fresh_graph("shadow")
         self.keys: list[str] = []
@@ -174,13 +184,11 @@ class IncrementalDifferentialMachine(RuleBasedStateMachine):
     @rule(start=st.integers(0, HORIZON - 1), semantics=semantics_strategy)
     def query_matrix(self, start, semantics):
         index, matrix = self.service._arrival_matrix(start, HORIZON, semantics)
-        nodes, scratch = TemporalEngine(self.shadow).arrival_matrix(
-            start, semantics, horizon=HORIZON, kernel=self.kernel
-        )
+        nodes, scratch = scratch_matrix(self.shadow, start, semantics, self.oracle)
         assert list(index) == nodes
         assert np.array_equal(matrix, scratch), (
             f"incremental matrix diverged from scratch at start={start} "
-            f"under {semantics} on {self.kernel}"
+            f"under {semantics} against {self.oracle}"
         )
 
     def teardown(self):
@@ -194,11 +202,11 @@ class IncrementalDifferentialMachine(RuleBasedStateMachine):
 
 
 class IncrementalDifferentialBitset(IncrementalDifferentialMachine):
-    kernel = "bitset"
+    oracle = "bitset"
 
 
 class IncrementalDifferentialBignum(IncrementalDifferentialMachine):
-    kernel = "bignum"
+    oracle = "bignum"
 
 
 for machine in (IncrementalDifferentialBitset, IncrementalDifferentialBignum):
@@ -268,25 +276,21 @@ def _apply(graph, batch):
 
 
 class TestEngineIncrementalEqualsScratch:
-    @pytest.mark.parametrize("kernel", ["bitset", "bignum"])
+    @pytest.mark.parametrize("oracle", ["bitset", "bignum"])
     @given(graph=graphs(), batch=mutation_batches(), semantics=semantics_strategy,
            start=st.integers(0, 3))
     @settings(DETERMINISTIC, max_examples=30)
-    def test_patched_equals_scratch(self, graph, batch, semantics, start, kernel):
+    def test_patched_equals_scratch(self, graph, batch, semantics, start, oracle):
         graph = graph.copy()  # hypothesis reuses drawn graphs across examples
         engine = TemporalEngine(graph)
         v0 = graph.version
-        nodes0, m0 = engine.arrival_matrix(
-            start, semantics, horizon=HORIZON, kernel=kernel
-        )
+        nodes0, m0 = engine.arrival_matrix(start, semantics, horizon=HORIZON)
         _apply(graph, batch)
         deltas = graph.deltas_since(v0)
         result = engine.arrival_matrix_incremental(
-            start, (nodes0, m0), deltas, semantics, HORIZON, kernel=kernel
+            start, (nodes0, m0), deltas, semantics, HORIZON
         )
-        nodes_f, scratch = TemporalEngine(graph).arrival_matrix(
-            start, semantics, horizon=HORIZON, kernel=kernel
-        )
+        nodes_f, scratch = scratch_matrix(graph, start, semantics, oracle)
         assert result is not None  # no node was added, chain is complete
         nodes_i, merged, reswept = result
         assert nodes_i == nodes_f

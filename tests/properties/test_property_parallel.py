@@ -1,14 +1,13 @@
-"""Property suite for the sharded arrival sweep.
+"""Property suite for the block-partitioned arrival sweep.
 
-The sharding claim is exact, not approximate: for ANY graph (every
-structured presence form plus black-box predicates routed through the
-LazyContactCache), any waiting semantics, any start date, and any block
-count, lowering the sweep to a :class:`~repro.core.parallel.SweepPlan`,
-sweeping each source block independently, and stacking the sub-matrices
-equals the serial sweep element for element.  Hypothesis drives the
-block sweeps in-process (same code the workers run, minus the fork) so
-hundreds of examples stay cheap; ``tests/core/test_parallel.py`` adds
-the end-to-end multi-process runs under the ``slow`` marker.
+The block claim the cluster relies on is exact, not approximate: for ANY
+graph (every structured presence form plus black-box predicates routed
+through the LazyContactCache), any waiting semantics, any start date,
+and any block count, lowering the sweep to a
+:class:`~repro.core.parallel.SweepPlan`, sweeping each source block
+independently, and stacking the sub-matrices equals the full sweep
+element for element.  The bit-packed reachability form is checked
+against the boolean matrix on the same graphs.
 """
 
 import numpy as np
@@ -16,13 +15,14 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.engine import TemporalEngine
 from repro.core.latency import constant_latency
-from repro.core.parallel import build_sweep_plan, partition_sources, sweep_block
+from repro.core.parallel import build_sweep_plan, partition_sources
 from repro.core.presence import (
     function_presence,
     interval_presence,
     periodic_presence,
 )
 from repro.core.semantics import NO_WAIT, WAIT, bounded_wait
+from repro.core.sweep_kernel import sweep_block
 from repro.core.time_domain import Lifetime
 from repro.core.tvg import TimeVaryingGraph
 
@@ -89,18 +89,18 @@ class TestShardedEqualsSerial:
     @given(tvgs(), semantics_strategy, st.integers(0, 3), st.integers(2, 4))
     @settings(DETERMINISTIC, max_examples=60)
     def test_stacked_block_sweeps_equal_serial(
-        self, graph, semantics, start, shards
+        self, graph, semantics, start, workers
     ):
         engine = TemporalEngine(graph)
         _nodes, serial = engine.arrival_matrix(start, semantics, horizon=HORIZON)
         _same, plan = build_sweep_plan(engine, start, semantics, HORIZON)
-        blocks = partition_sources(plan.n, shards)
+        blocks = partition_sources(plan.n, workers)
         stacked = np.vstack([sweep_block(plan, block) for block in blocks])
         assert np.array_equal(stacked, serial)
 
     @given(tvgs(), semantics_strategy, st.integers(2, 4))
     @settings(DETERMINISTIC, max_examples=30)
-    def test_fresh_engine_per_path_still_agrees(self, graph, semantics, shards):
+    def test_fresh_engine_per_path_still_agrees(self, graph, semantics, workers):
         """Same equality with NO shared engine state between the two
         paths — each lowers its own index and black-box cache."""
         _nodes, serial = TemporalEngine(graph).arrival_matrix(
@@ -110,7 +110,7 @@ class TestShardedEqualsSerial:
             TemporalEngine(graph), 0, semantics, HORIZON
         )
         stacked = np.vstack(
-            [sweep_block(plan, b) for b in partition_sources(plan.n, shards)]
+            [sweep_block(plan, b) for b in partition_sources(plan.n, workers)]
         )
         assert np.array_equal(stacked, serial)
 
@@ -118,11 +118,10 @@ class TestShardedEqualsSerial:
     @settings(DETERMINISTIC, max_examples=30)
     def test_masks_match_the_matrix(self, graph, semantics):
         """The vectorized mask packing agrees with the boolean matrix
-        (bit i of masks[j] == matrix[i, j]) on arbitrary graphs."""
+        (bit i of packed column j == matrix[i, j]) on arbitrary graphs."""
         engine = TemporalEngine(graph)
         nodes, matrix = engine.reachability_matrix(0, semantics, horizon=HORIZON)
-        _same, masks = engine.reachability_masks(0, semantics, horizon=HORIZON)
+        _same, packed = engine.reachability_packed(0, semantics, horizon=HORIZON)
         for j in range(len(nodes)):
-            assert masks[j] == sum(
-                1 << i for i in range(len(nodes)) if matrix[i, j]
-            )
+            mask = int.from_bytes(packed[:, j].tobytes(), "little")
+            assert mask == sum(1 << i for i in range(len(nodes)) if matrix[i, j])

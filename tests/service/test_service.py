@@ -270,38 +270,3 @@ class TestDispatcher:
         assert handle_request(line_service, {"op": "ping"})["result"] == "pong"
         stats = handle_request(line_service, {"op": "stats"})["result"]
         assert stats["graph"]["nodes"] == 3
-
-
-@pytest.mark.slow
-class TestShardsKnob:
-    """TVGService(shards=) opts cache-miss sweeps into the sharded
-    path; every answer stays identical (slow: spawns workers)."""
-
-    def _graph(self):
-        from repro.core.generators import periodic_random_tvg
-
-        return periodic_random_tvg(10, period=4, density=0.25, seed=4)
-
-    def test_sharded_service_answers_match_serial(self):
-        serial = TVGService(self._graph(), window=(0, 12))
-        sharded = TVGService(self._graph(), window=(0, 12), shards=2)
-        nodes = list(serial.graph.nodes)
-        for semantics in (NO_WAIT, WAIT):
-            for target in nodes[1:4]:
-                assert sharded.arrival(nodes[0], target, 0, 12, semantics) == (
-                    serial.arrival(nodes[0], target, 0, 12, semantics)
-                )
-            assert sharded.growth(0, 12, semantics) == serial.growth(0, 12, semantics)
-        assert sharded.classify(0, 12) == serial.classify(0, 12)
-
-    def test_mutation_invalidates_sharded_cache_too(self):
-        service = TVGService(self._graph(), window=(0, 12), shards=2)
-        nodes = list(service.graph.nodes)
-        service.growth(0, 12, WAIT)  # populate the cache
-        version_before = service.graph.version
-        service.add_edge(nodes[0], nodes[1], presence=periodic_presence([0], 2))
-        assert service.graph.version != version_before  # key space moved on
-        after = service.growth(0, 12, WAIT)
-        # Fresh, not stale: the post-mutation answer must match a fresh
-        # interpretive computation on the mutated graph.
-        assert after == reachability_growth(service.graph, 0, 12, WAIT)

@@ -256,42 +256,35 @@ class TestSemanticsBoundary:
         assert args.semantics.max_wait == 5
 
 
-@pytest.mark.slow
-class TestShardsFlag:
-    """--shards runs the process-sharded sweep; results are identical
-    to the serial engine (slow: spawns worker processes)."""
+class TestNumericBoundary:
+    """Numeric flags the program cannot run with die as one-line
+    argparse usage errors (exit code 2) at parse time — never a
+    traceback from deep in the service, and never a silently broken run
+    (a negative --worker-timeout used to time out every cluster job)."""
 
-    def test_reach_with_shards_matches_serial(self, capsys):
-        args = ["reach", "--nodes", "10", "--period", "4", "--density", "0.2",
-                "--seed", "2", "--horizon", "12"]
-        assert main(args) == 0
-        serial = capsys.readouterr().out
-        assert main(args + ["--shards", "2"]) == 0
-        sharded = capsys.readouterr().out
-
-        def facts(text):
-            return [
-                line for line in text.splitlines()
-                if "ratio" in line or "gap" in line
-            ]
-
-        assert facts(serial) == facts(sharded)
-
-    def test_growth_with_shards_matches_serial(self, capsys):
-        args = ["growth", "--nodes", "10", "--period", "4", "--density", "0.2",
-                "--seed", "3", "--horizon", "10"]
-        assert main(args) == 0
-        serial = capsys.readouterr().out
-        assert main(args + ["--shards", "3"]) == 0
-        sharded = capsys.readouterr().out
-
-        def facts(text):
-            return [
-                line for line in text.splitlines()
-                if "r_wait" in line or "r_nowait" in line or "area" in line
-            ]
-
-        assert facts(serial) == facts(sharded)
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["reach", "--oversplit", "0"],
+            ["reach", "--period", "0"],
+            ["reach", "--density", "1.5"],
+            ["reach", "--density", "lots"],
+            ["reach", "--worker-timeout", "-1"],
+            ["serve", "--cache-size", "0"],
+            ["serve", "--max-tasks", "0"],
+            ["serve", "--max-inflight", "0"],
+            ["serve", "--rate-limit", "0"],
+            ["serve", "--rate-limit", "5", "--rate-window", "0"],
+            ["serve", "--rate-limit", "5", "--rate-margin", "5"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_bad_numeric_flags_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--nodes", "4", "--horizon", "6"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
 
 
 class TestWorkersFlag:
@@ -310,7 +303,7 @@ class TestWorkersFlag:
     @pytest.mark.cluster
     @pytest.mark.service
     def test_reach_with_workers_matches_serial(self, capsys):
-        from repro.service.cluster import LoopbackWorkerPool
+        from doubles import LoopbackWorkerPool
 
         args = ["reach", "--nodes", "10", "--period", "4", "--density", "0.2",
                 "--seed", "2", "--horizon", "12"]
