@@ -74,6 +74,26 @@ _positive_float = _bounded(float, "a positive number", lambda v: v > 0)
 _probability = _bounded(float, "in [0, 1]", lambda v: 0.0 <= v <= 1.0)
 
 
+def _trace_file(text: str) -> str:
+    """An argparse type for a trace path: a missing or unreadable file
+    is a one-line usage error at parse time, not a traceback from
+    deep inside the trace loader."""
+    try:
+        with open(text, encoding="utf-8"):
+            pass
+    except OSError as exc:
+        raise argparse.ArgumentTypeError(
+            f"cannot read trace file {text!r}: {exc.strerror or exc}"
+        ) from None
+    return text
+
+
+class _UsageError(Exception):
+    """A flag combination found unusable only after parsing (it depends
+    on the loaded graph); :func:`main` reports it as an argparse usage
+    error."""
+
+
 def _workers(text: str) -> list[str]:
     """A comma-separated ``host:port`` list, validated up front so a
     typo is a usage error at launch, not a per-sweep fallback."""
@@ -244,13 +264,19 @@ def _load_or_generate(args: argparse.Namespace):
         graph = periodic_random_tvg(
             args.nodes, period=args.period, density=args.density, seed=args.seed
         )
+    start = graph.lifetime.start
     horizon = args.horizon
     if horizon is None:
         if not graph.lifetime.bounded:
-            horizon = graph.lifetime.start + 3 * (graph.period or 8)
+            horizon = start + 3 * (graph.period or 8)
         else:
             horizon = int(graph.lifetime.end)
-    return graph, graph.lifetime.start, horizon
+    elif horizon <= start:
+        raise _UsageError(
+            f"--horizon {horizon} must be after the graph's start {start} "
+            f"(the window [{start}, {horizon}) is empty)"
+        )
+    return graph, start, horizon
 
 
 def cmd_growth(args: argparse.Namespace) -> int:
@@ -389,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     uni.set_defaults(handler=cmd_universal)
 
     ext = sub.add_parser("extract", help="wait-language DFA of a contact trace")
-    ext.add_argument("trace")
+    ext.add_argument("trace", type=_trace_file)
     ext.add_argument("--initial", default=None, required=True)
     ext.add_argument("--accepting", nargs="*", default=None)
     ext.add_argument("--label", default="c")
@@ -407,7 +433,8 @@ def build_parser() -> argparse.ArgumentParser:
         command: argparse.ArgumentParser, engine_choice: bool = True
     ) -> None:
         command.add_argument(
-            "--trace", default=None, help="trace file (else a random TVG)"
+            "--trace", type=_trace_file, default=None,
+            help="trace file (else a random TVG)",
         )
         command.add_argument("--nodes", type=int, default=32)
         command.add_argument("--period", type=_positive_int, default=8)
@@ -504,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
     wrk.set_defaults(handler=cmd_worker)
 
     ren = sub.add_parser("render", help="ASCII schedule of a contact trace")
-    ren.add_argument("trace")
+    ren.add_argument("trace", type=_trace_file)
     ren.add_argument("--start", type=int, default=None)
     ren.add_argument("--end", type=int, default=None)
     ren.set_defaults(handler=cmd_render)
@@ -537,7 +564,10 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(
             f"--rate-margin {args.rate_margin} must be below --rate-limit {limit}"
         )
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except _UsageError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

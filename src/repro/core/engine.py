@@ -84,9 +84,9 @@ class TemporalEngine:
         # are never re-scanned for dates already seen.
         self._contact_cache = LazyContactCache(graph)
         # Lowered SweepPlans, keyed by (version, start, horizon,
-        # max_wait) — plans are immutable plain data, so any sweep of
-        # the same query at the same version can share one lowering.
-        # Owned here, filled by build_sweep_plan.
+        # max_wait) — plans are read-only, so any sweep of the same
+        # query at the same version shares one plan and its kernel
+        # schedule.  Owned here, filled by build_sweep_plan.
         self._plan_memo: dict[tuple, tuple[tuple, "object"]] = {}
 
     # -- index lifecycle -------------------------------------------------------
@@ -283,7 +283,7 @@ class TemporalEngine:
             if ready >= horizon:
                 continue  # reachable, but no departure fits the horizon
             for ei in index.out_edge_indices(node_idx):
-                target = index.target_idx[ei]
+                target = int(index.target_idx[ei])
                 if target in settled:
                     continue  # settled earlier, hence with arrival <= any new one
                 const = int(index.const_latency[ei])
@@ -332,7 +332,7 @@ class TemporalEngine:
         bit to node ``j`` is the pair's earliest arrival.  One pass, no
         fixpoint iteration.
 
-        The sweep is lowered to one plain-data
+        The sweep is lowered to one
         :class:`~repro.core.parallel.SweepPlan` and run by the bitset
         kernel (:mod:`repro.core.sweep_kernel`).  ``cluster`` ships
         source blocks of the same plan to *remote* sweep workers

@@ -139,6 +139,10 @@ class IntervalSet:
         index = bisect_right(self._starts, time) - 1
         return index >= 0 and time < self._ends[index]
 
+    def bounds(self) -> tuple[Sequence[int], Sequence[int]]:
+        """The normalized intervals as parallel ``(starts, ends)`` lists."""
+        return self._starts, self._ends
+
     @property
     def span(self) -> Interval | None:
         """Smallest single interval covering the whole set, or None if empty."""

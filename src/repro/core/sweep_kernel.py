@@ -3,13 +3,17 @@
 Every consumer of the batched arrival sweep — the serial
 :meth:`~repro.core.engine.TemporalEngine.arrival_matrix`, the
 distributed cluster workers (:mod:`repro.service.cluster`), and the
-service's shared cached sweep — lowers the sweep to one plain-data
+service's shared cached sweep — lowers the sweep to one
 :class:`~repro.core.parallel.SweepPlan` and then runs
 :func:`sweep_block` over it, for all sources or one block of them.
 
 The kernel is the single departure-ordered contact scan (the
 edge-stream earliest-arrival scheme of Wu et al., "Path Problems in
 Temporal Graphs", PVLDB 2014), run for a whole source block at once.
+It reads the plan as it is: four read-only int64 arrays ``src, tgt,
+dep, arr`` already sorted by ``(dep, arr, tgt)``, plus the plan's
+:attr:`~repro.core.parallel.SweepPlan.schedule` (date axis and merge
+groups), computed once per plan object and held by it.
 The frontier is a ``(n, ceil(b/64))`` uint64 numpy matrix (``b`` =
 source-block width): bit ``i`` of node ``j``'s row says source ``i``'s
 journeys have mass pending at ``j``.  Pending states are bucketed *by
@@ -29,9 +33,8 @@ three waiting semantics, black-box presences included.
 
 from __future__ import annotations
 
-import weakref
 from collections import deque
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -87,108 +90,6 @@ def merge_rows(
 # -- the bitset kernel ---------------------------------------------------------
 
 
-class _BitsetLowering(NamedTuple):
-    """A plan's contacts flattened, sorted, and grouped — everything in
-    :func:`sweep_block` that does not depend on the source block, so
-    repeated sweeps of one plan (cluster blocks, incremental cone
-    re-sweeps) pay the O(contacts) lowering once."""
-
-    dep_s: np.ndarray
-    arr_s: np.ndarray
-    tgt_s: np.ndarray
-    src_s: np.ndarray
-    group_starts_all: np.ndarray
-    dates: np.ndarray
-    date_lo: np.ndarray
-    date_hi: np.ndarray
-    group_lo: np.ndarray
-    group_hi: np.ndarray
-
-
-#: Cached lowerings keyed by plan identity (a weakref callback evicts
-#: the slot when the plan is collected; the liveness check guards
-#: against id reuse).  Plans are immutable, so identity is sound.
-_BITSET_LOWERINGS: dict[int, tuple["weakref.ref", _BitsetLowering]] = {}
-
-
-def _lower_plan_bitset(plan: "SweepPlan") -> _BitsetLowering:
-    n = plan.n
-    contacts = plan.contacts
-    edge_count = len(contacts)
-    edge_len = np.fromiter(
-        (len(seq) for seq in contacts), dtype=np.int64, count=edge_count
-    )
-    total_contacts = int(edge_len.sum())
-    out_offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum([len(row) for row in plan.out_edges], out=out_offsets[1:])
-    out_flat = np.fromiter(
-        (ei for row in plan.out_edges for ei in row),
-        dtype=np.int64,
-        count=int(out_offsets[-1]),
-    )
-    src_of_edge = np.empty(edge_count, dtype=np.int64)
-    src_of_edge[out_flat] = np.repeat(np.arange(n), np.diff(out_offsets))
-    dep_flat = np.fromiter(
-        (d for seq in contacts for d in seq), dtype=np.int64, count=total_contacts
-    )
-    arr_flat = np.fromiter(
-        (a for seq in plan.arrivals for a in seq),
-        dtype=np.int64,
-        count=total_contacts,
-    )
-    edge_of_contact = np.repeat(np.arange(edge_count), edge_len)
-    target_arr = np.asarray(plan.target_idx, dtype=np.int64)
-    order = np.lexsort(
-        (target_arr[edge_of_contact], arr_flat, dep_flat)
-    )
-    dep_s = dep_flat[order]
-    arr_s = arr_flat[order]
-    tgt_s = target_arr[edge_of_contact][order]
-    src_s = src_of_edge[edge_of_contact][order]
-    # Group starts: one merge group per distinct (departure, arrival,
-    # target) — precomputed once, sliced per date below.
-    if total_contacts:
-        change = np.empty(total_contacts, dtype=bool)
-        change[0] = True
-        change[1:] = (
-            (dep_s[1:] != dep_s[:-1])
-            | (arr_s[1:] != arr_s[:-1])
-            | (tgt_s[1:] != tgt_s[:-1])
-        )
-        group_starts_all = np.flatnonzero(change)
-    else:
-        group_starts_all = np.empty(0, dtype=np.int64)
-
-    # The date axis: every departure, every arrival, and the seed date.
-    dates = np.unique(
-        np.concatenate(
-            (dep_s, arr_s, np.asarray([plan.start_time], dtype=np.int64))
-        )
-    )
-    date_lo = np.searchsorted(dep_s, dates, side="left")
-    date_hi = np.searchsorted(dep_s, dates, side="right")
-    group_lo = np.searchsorted(group_starts_all, date_lo, side="left")
-    group_hi = np.searchsorted(group_starts_all, date_hi, side="left")
-    return _BitsetLowering(
-        dep_s, arr_s, tgt_s, src_s, group_starts_all,
-        dates, date_lo, date_hi, group_lo, group_hi,
-    )
-
-
-def _bitset_lowering(plan: "SweepPlan") -> _BitsetLowering:
-    key = id(plan)
-    hit = _BITSET_LOWERINGS.get(key)
-    if hit is not None and hit[0]() is plan:
-        return hit[1]
-    lowered = _lower_plan_bitset(plan)
-    try:
-        ref = weakref.ref(plan, lambda _r, _k=key: _BITSET_LOWERINGS.pop(_k, None))
-    except TypeError:  # a plan stand-in that refuses weakrefs: skip caching
-        return lowered
-    _BITSET_LOWERINGS[key] = (ref, lowered)
-    return lowered
-
-
 def sweep_block(plan: "SweepPlan", sources: Sequence[int]) -> np.ndarray:
     """The arrival sweep of one source block (see the module docstring).
 
@@ -197,8 +98,8 @@ def sweep_block(plan: "SweepPlan", sources: Sequence[int]) -> np.ndarray:
     arrival dates never depend on which other sources share the pass, so
     stacked block sweeps equal the full sweep element for element.
 
-    All contacts are sorted ONCE by (departure, arrival, target); the
-    sweep then walks the merged date axis (contact departures, contact
+    The plan's stream arrives sorted by (departure, arrival, target);
+    the sweep walks the merged date axis (contact departures, contact
     arrivals, and the seed date) in increasing order.  At each date the
     pending bucket — a full-width ``(n, words)`` uint64 matrix — is
     applied (``new = mask & ~node_mask`` stamps first arrivals), and the
@@ -233,12 +134,10 @@ def sweep_block(plan: "SweepPlan", sources: Sequence[int]) -> np.ndarray:
     # waiting in disguise (latest is pinned at the horizon either way).
     wait_like = max_wait is None or start + max_wait + 1 >= horizon
 
-    # The source-independent lowering — flattened, sorted, grouped
-    # contacts plus the date axis — cached per plan object.
-    (
-        _dep_s, arr_s, tgt_s, src_s, group_starts_all,
-        dates, date_lo, date_hi, group_lo, group_hi,
-    ) = _bitset_lowering(plan)
+    # The plan's stream is already in kernel order; its date axis and
+    # merge groups are computed once per plan object and held by it.
+    arr_s, tgt_s, src_s = plan.arr, plan.tgt, plan.src
+    group_starts_all, dates, date_lo, date_hi, group_lo, group_hi = plan.schedule
 
     #: bit i of node_mask[j] — source i's earliest arrival at j is stamped.
     node_mask = np.zeros((n, words), dtype=np.uint64)

@@ -2,8 +2,9 @@
 
 The reproduction's correctness rests on cross-cutting invariants —
 strict layering, mutators bump ``TimeVaryingGraph.version``,
-``SweepPlan`` stays plain data, errors become :class:`ServiceError` at
-the service boundary — that a general-purpose linter cannot know about.
+``SweepPlan`` holds ints and read-only int64 arrays only, errors become
+:class:`ServiceError` at the service boundary — that a general-purpose
+linter cannot know about.
 This module is the *framework* half: a rule registry, per-file context
 with resolved imports and suppression comments, and structured findings
 with ``file:line``.  The project-specific rules live in

@@ -11,9 +11,10 @@ drive.  Statically they hold everywhere or the gate goes red:
   ``TimeVaryingGraph`` method that writes graph state also bumps the
   version counter *and* appends a :class:`MutationDelta`, directly or
   through a helper it calls.
-* **RL003** plan purity — nothing but plain data flows into
-  ``SweepPlan(...)`` outside ``core/parallel.py``'s sanctioned
-  lowering, so plans stay picklable and cacheable by content.
+* **RL003** plan purity — ``SweepPlan(...)`` outside
+  ``core/parallel.py``'s sanctioned lowering takes ints and read-only
+  int64 arrays only (no lambdas, no local callables), so plans stay
+  picklable and cacheable by content.
 * **RL004** boundary errors — no broad ``except`` in ``service/`` that
   swallows without re-raising (conversion to ``ServiceError`` counts:
   it is a re-raise).
@@ -304,7 +305,11 @@ def check_version_bumps(ctx: FileContext) -> Iterator[Finding]:
 PLAN_LOWERING_MODULE = "repro.core.parallel"
 
 
-@rule("RL003", "SweepPlan sites outside core/parallel take plain data only")
+@rule(
+    "RL003",
+    "SweepPlan sites outside core/parallel take ints and read-only int64 "
+    "arrays only",
+)
 def check_plan_purity(ctx: FileContext) -> Iterator[Finding]:
     if ctx.module == PLAN_LOWERING_MODULE:
         return
@@ -331,7 +336,7 @@ def check_plan_purity(ctx: FileContext) -> Iterator[Finding]:
                         line=sub.lineno,
                         rule="RL003",
                         message="lambda passed into SweepPlan(...) — plans "
-                        "must stay picklable plain data",
+                        "take ints and read-only int64 arrays only",
                     )
                 elif isinstance(sub, ast.Name) and sub.id in local_callables:
                     yield Finding(
@@ -339,8 +344,8 @@ def check_plan_purity(ctx: FileContext) -> Iterator[Finding]:
                         line=sub.lineno,
                         rule="RL003",
                         message=f"callable {sub.id!r} passed into "
-                        "SweepPlan(...) — plans must stay picklable "
-                        "plain data",
+                        "SweepPlan(...) — plans take ints and read-only "
+                        "int64 arrays only",
                     )
 
 

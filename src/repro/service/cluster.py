@@ -1,9 +1,9 @@
 """The distributed arrival sweep: sweep workers and their executor.
 
-The all-pairs arrival sweep lowers to a plain-data
-:class:`~repro.core.parallel.SweepPlan` whose contiguous source blocks
-sweep independently and stack into the full matrix.  This module ships
-that plan across *machines*: a **worker** (``python -m repro worker``) is a
+The all-pairs arrival sweep lowers to a
+:class:`~repro.core.parallel.SweepPlan` (ints and read-only int64
+arrays) whose contiguous source blocks sweep independently and stack
+into the full matrix.  This module ships that plan across *machines*: a **worker** (``python -m repro worker``) is a
 long-lived process speaking the service's JSON-lines protocol whose one
 real operation is ``sweep`` — plan spec plus a source block in, the
 block's sub-matrix out (both base64-packed int64, see
@@ -128,10 +128,10 @@ class PlanCache:
     dispatches jobs on :func:`asyncio.to_thread`, so concurrent clients
     hit the cache from different threads.
 
-    Keeping the *decoded* plan (not just the spec) also keeps the
-    kernel's per-plan lowering memo hot: repeated block jobs against
-    one cached plan see the same plan object, so the bitset kernel's
-    source-independent setup is paid once per plan, not once per job.
+    Keeping the *decoded* plan (not just the spec) also keeps its
+    kernel schedule hot: repeated block jobs against one cached plan
+    see the same plan object, so the date axis and merge groups the
+    plan holds are computed once per plan, not once per job.
     """
 
     def __init__(self, max_plans: int = WORKER_PLAN_CACHE_SIZE) -> None:

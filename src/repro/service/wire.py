@@ -10,13 +10,14 @@ semantics need a round-trippable plain-data form:
 * latency — ``{"kind": "constant", "value": v}``;
 * semantics — the CLI strings ``"wait"``, ``"nowait"``, ``"wait[d]"``;
 * sweep plan — a whole lowered :class:`~repro.core.parallel.SweepPlan`
-  (``{"kind": "sweep_plan"}``), the payload the distributed sweep ships
-  to :mod:`repro.service.cluster` workers.  The plan's contact/arrival
-  sequences and CSR adjacency are *packed*, not listed: each ragged
-  family is flattened into one little-endian int64 array plus an offset
-  array, base64-encoded — a plan of ``k`` ints costs ~``8k/0.75`` bytes
-  on the wire instead of a JSON list of ``k`` numbers, and decodes with
-  two ``frombuffer`` calls instead of a million ``int()`` parses;
+  (``{"kind": "sweep_plan", "n", "start", "horizon", "max_wait", "src",
+  "tgt", "dep", "arr"}``), the payload the distributed sweep ships to
+  :mod:`repro.service.cluster` workers.  The plan's four aligned stream
+  arrays cross *packed*, not listed: each is its little-endian int64
+  bytes, base64-encoded, in the kernel's ``(dep, arr, tgt)`` order — a
+  plan of ``k`` contacts costs ~``4 * 8k/0.75`` bytes on the wire
+  instead of JSON lists of numbers, and decodes with four
+  ``frombuffer`` calls instead of a million ``int()`` parses;
 * int64 matrix — ``{"kind": "int64_matrix"}``, the sub-matrix a worker
   returns for its source block (same base64 packing, row-major).
 
@@ -38,7 +39,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.core.latency import ConstantLatency, LatencyFunction, constant_latency
-from repro.core.parallel import SweepPlan
+from repro.core.parallel import SweepPlan, in_kernel_order
 from repro.core.presence import (
     IntervalPresence,
     PeriodicPresence,
@@ -151,6 +152,8 @@ def parse_semantics(text: str) -> WaitingSemantics:
 #: Every packed array crosses the wire as little-endian int64, whatever
 #: the host byte order — ``frombuffer`` on the far side is then exact.
 _WIRE_DTYPE = "<i8"
+#: The stream arrays of a sweep plan spec, in wire order.
+_PLAN_STREAM = ("src", "tgt", "dep", "arr")
 
 
 def _pack_int64(values: Sequence[int] | np.ndarray) -> str:
@@ -175,67 +178,30 @@ def _unpack_int64(text: Any, what: str) -> np.ndarray:
     return np.frombuffer(raw, dtype=_WIRE_DTYPE)
 
 
-def _flatten(seqs: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
-    """One ragged family as (flat values, offsets); ``offsets[i]:offsets[i+1]``
-    slices out sequence ``i``."""
-    offsets = [0]
-    flat: list[int] = []
-    for seq in seqs:
-        flat.extend(seq)
-        offsets.append(len(flat))
-    return flat, offsets
-
-
-def _split(flat: np.ndarray, offsets: np.ndarray, what: str) -> tuple[tuple[int, ...], ...]:
-    """Rebuild the ragged family (tuples of python ints, bit-exact)."""
-    if len(offsets) == 0 or offsets[0] != 0:
-        raise ServiceError(f"{what} offsets must start at 0")
-    if np.any(np.diff(offsets) < 0):
-        raise ServiceError(f"{what} offsets must be non-decreasing")
-    if offsets[-1] != len(flat):
-        raise ServiceError(f"{what} offsets do not cover the packed values")
-    values = flat.tolist()
-    bounds = offsets.tolist()
-    return tuple(
-        tuple(values[lo:hi]) for lo, hi in zip(bounds, bounds[1:])
-    )
-
-
 def plan_to_spec(plan: SweepPlan) -> dict[str, Any]:
-    """The JSON-able description of one lowered sweep plan.
-
-    The ragged families (per-node out-edge lists, per-edge contact and
-    arrival dates) are flattened CSR-style and base64-packed; contacts
-    and arrivals share one offset array (they are aligned by
-    construction).
-    """
-    out_flat, out_offsets = _flatten(plan.out_edges)
-    contact_flat, contact_offsets = _flatten(plan.contacts)
-    arrival_flat, arrival_offsets = _flatten(plan.arrivals)
-    if arrival_offsets != contact_offsets:
-        raise ServiceError("plan arrivals are not aligned with its contacts")
+    """The JSON-able description of one lowered sweep plan: its header
+    plus the four aligned stream arrays, each base64-packed, in kernel
+    order."""
     return {
         "kind": "sweep_plan",
         "n": plan.n,
         "start": plan.start_time,
         "horizon": plan.horizon,
         "max_wait": plan.max_wait,
-        "targets": _pack_int64(plan.target_idx),
-        "out_edges": _pack_int64(out_flat),
-        "out_offsets": _pack_int64(out_offsets),
-        "contacts": _pack_int64(contact_flat),
-        "arrivals": _pack_int64(arrival_flat),
-        "contact_offsets": _pack_int64(contact_offsets),
+        **{name: _pack_int64(getattr(plan, name)) for name in _PLAN_STREAM},
     }
 
 
 def plan_from_spec(spec: dict[str, Any]) -> SweepPlan:
     """Rebuild a :class:`~repro.core.parallel.SweepPlan` from its spec.
 
-    Validates shape invariants (offset coverage, index ranges) so a
-    malformed or truncated frame becomes a :class:`ServiceError` — the
-    signal the cluster's fault handling turns into a local re-run —
-    never a worker crash deep inside the sweep.
+    Rejects, as a :class:`ServiceError`, every plan the kernel cannot
+    run correctly — misaligned arrays, endpoints outside ``[0, n)``,
+    departures outside ``[start, horizon)``, an arrival not after its
+    departure, or a stream not in ``(dep, arr, tgt)`` order — so a
+    malformed or truncated frame becomes the signal the cluster's fault
+    handling turns into a local re-run, never a worker crash or a
+    silently wrong matrix.
     """
     if not isinstance(spec, dict) or spec.get("kind") != "sweep_plan":
         raise ServiceError(f"malformed sweep plan spec {spec!r}")
@@ -247,45 +213,20 @@ def plan_from_spec(spec: dict[str, Any]) -> SweepPlan:
         max_wait = None if raw_wait is None else int(raw_wait)
     except (KeyError, TypeError, ValueError) as exc:
         raise ServiceError(f"malformed sweep plan header: {exc}") from None
-    if n < 0:
-        raise ServiceError("sweep plan node count must be >= 0")
-    if max_wait is not None and max_wait < 0:
-        raise ServiceError("sweep plan max_wait must be >= 0 or null")
-    targets = _unpack_int64(spec.get("targets"), "targets")
-    out_flat = _unpack_int64(spec.get("out_edges"), "out_edges")
-    out_edges = _split(
-        out_flat, _unpack_int64(spec.get("out_offsets"), "out_offsets"), "out_edges"
+    src, tgt, dep, arr = (
+        _unpack_int64(spec.get(name), name) for name in _PLAN_STREAM
     )
-    contact_offsets = _unpack_int64(spec.get("contact_offsets"), "contact_offsets")
-    contacts = _split(
-        _unpack_int64(spec.get("contacts"), "contacts"), contact_offsets, "contacts"
-    )
-    arrivals = _split(
-        _unpack_int64(spec.get("arrivals"), "arrivals"), contact_offsets, "arrivals"
-    )
-    edge_count = len(targets)
-    if len(out_edges) != n:
-        raise ServiceError(
-            f"sweep plan has {n} nodes but {len(out_edges)} out-edge lists"
+    if not len(src) == len(tgt) == len(dep) == len(arr):
+        raise ServiceError("sweep plan arrays src, tgt, dep and arr are misaligned")
+    if not in_kernel_order(dep, arr, tgt):
+        raise ServiceError("sweep plan stream is not in (dep, arr, tgt) order")
+    try:
+        return SweepPlan(
+            n=n, src=src, tgt=tgt, dep=dep, arr=arr,
+            start_time=start, horizon=horizon, max_wait=max_wait,
         )
-    if len(contacts) != edge_count:
-        raise ServiceError(
-            f"sweep plan has {edge_count} edges but {len(contacts)} contact lists"
-        )
-    if edge_count and (targets.min() < 0 or targets.max() >= n):
-        raise ServiceError("sweep plan edge targets fall outside the node range")
-    if len(out_flat) and (out_flat.min() < 0 or out_flat.max() >= edge_count):
-        raise ServiceError("sweep plan adjacency names an unknown edge")
-    return SweepPlan(
-        n=n,
-        out_edges=out_edges,
-        target_idx=tuple(targets.tolist()),
-        contacts=contacts,
-        arrivals=arrivals,
-        start_time=start,
-        horizon=horizon,
-        max_wait=max_wait,
-    )
+    except ValueError as exc:
+        raise ServiceError(f"malformed sweep plan: {exc}") from None
 
 
 def plan_fingerprint(spec: dict[str, Any], context: Sequence[Any] = ()) -> str:

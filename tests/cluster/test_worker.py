@@ -246,7 +246,7 @@ class TestExecutorWithoutWorkers:
         engine = TemporalEngine(graph)
         _nodes, plan = build_sweep_plan(engine, 0, WAIT, HORIZON)
         empty = plan.__class__(
-            n=0, out_edges=(), target_idx=(), contacts=(), arrivals=(),
+            n=0, src=(), tgt=(), dep=(), arr=(),
             start_time=0, horizon=HORIZON, max_wait=None,
         )
         cluster = ClusterExecutor(["127.0.0.1:1"])  # nothing listens there

@@ -129,9 +129,55 @@ class TestSweepPlan:
         g, _predicates = blackbox_ring()
         engine = TemporalEngine(g)
         _nodes, plan = build_sweep_plan(engine, 0, WAIT, HORIZON)
-        for contacts, arrivals in zip(plan.contacts, plan.arrivals):
-            assert len(contacts) == len(arrivals)
-            assert all(arr > dep for dep, arr in zip(contacts, arrivals))
+        assert len(plan.dep) == len(plan.arr)
+        assert all(arr > dep for dep, arr in zip(plan.dep, plan.arr))
+
+
+class TestReadOnlyPlans:
+    """The memoized plan is shared by cold sweeps, incremental cone
+    re-sweeps and cluster jobs, so nothing may write to it."""
+
+    @staticmethod
+    def _snapshot(plan):
+        return [getattr(plan, name).tobytes() for name in ("src", "tgt", "dep", "arr")]
+
+    def test_memoized_plan_arrays_refuse_writes(self):
+        engine = TemporalEngine(random_graph())
+        _nodes, plan = build_sweep_plan(engine, 0, WAIT, HORIZON)
+        assert build_sweep_plan(engine, 0, WAIT, HORIZON)[1] is plan  # the memo
+        assert len(plan.dep)
+        for name in ("src", "tgt", "dep", "arr"):
+            array = getattr(plan, name)
+            assert array.dtype == np.int64 and not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 7
+            with pytest.raises(ValueError):
+                array.flags.writeable = True  # no way back to writeable
+        with pytest.raises(AttributeError):
+            plan.dep = np.zeros(3, dtype=np.int64)
+
+    def test_pickled_copy_is_read_only_too(self):
+        _nodes, plan = build_sweep_plan(TemporalEngine(random_graph()), 0, WAIT, HORIZON)
+        clone = pickle.loads(pickle.dumps(plan))
+        assert not clone.dep.flags.writeable and clone == plan
+
+    @pytest.mark.parametrize("semantics", SEMANTICS)
+    def test_sweeps_leave_the_plan_byte_identical(self, semantics):
+        g = random_graph()
+        engine = TemporalEngine(g)
+        nodes, previous = engine.arrival_matrix(0, semantics, horizon=HORIZON)
+        version = g.version
+        g.set_presence(g.edges[0].key, periodic_presence([1, 3], 6))
+        _nodes, plan = build_sweep_plan(engine, 0, semantics, HORIZON)
+        before = self._snapshot(plan)
+        sweep_block(plan, range(plan.n))
+        sweep_block(plan, (3, 1, 1))
+        result = engine.arrival_matrix_incremental(
+            0, (nodes, previous), g.deltas_since(version), semantics, HORIZON
+        )
+        assert result is not None
+        assert build_sweep_plan(engine, 0, semantics, HORIZON)[1] is plan
+        assert self._snapshot(plan) == before
 
 
 class TestBlockSweepEquality:

@@ -62,10 +62,16 @@ def sweep_block_bignum(
         pending[key] |= 1 << row
     horizon = plan.horizon
     max_wait = plan.max_wait
-    out_edges = plan.out_edges
-    target_idx = plan.target_idx
-    contacts = plan.contacts
-    arrivals = plan.arrivals
+    # The oracle's own per-node grouping of the stream: node j's
+    # contacts as (departure, arrival, target), sorted by departure.
+    leaving: list[list[tuple[int, int, int]]] = [[] for _ in range(plan.n)]
+    for s, d, a, t in zip(
+        plan.src.tolist(), plan.dep.tolist(), plan.arr.tolist(), plan.tgt.tolist()
+    ):
+        leaving[s].append((d, a, t))
+    for row in leaving:
+        row.sort()
+    departures = [[d for d, _a, _t in row] for row in leaving]
     pops = dead_pops = push_count = 0
     while heap:
         time, node_idx = heapq.heappop(heap)
@@ -84,23 +90,18 @@ def sweep_block_bignum(
         if time >= horizon:
             continue
         latest = horizon if max_wait is None else min(horizon, time + max_wait + 1)
-        for ei in out_edges[node_idx]:
-            dates = contacts[ei]
-            lo = bisect_left(dates, time)
-            hi = bisect_left(dates, latest, lo)
-            if lo == hi:
-                continue
-            arrs = arrivals[ei]
-            target = target_idx[ei]
-            for k in range(lo, hi):
-                push_count += 1
-                key = (target, arrs[k])
-                existing = pending.get(key)
-                if existing is None:
-                    pending[key] = mask
-                    heapq.heappush(heap, (arrs[k], target))
-                elif existing | mask != existing:
-                    pending[key] = existing | mask
+        dates = departures[node_idx]
+        lo = bisect_left(dates, time)
+        hi = bisect_left(dates, latest, lo)
+        for _dep, arr, target in leaving[node_idx][lo:hi]:
+            push_count += 1
+            key = (target, arr)
+            existing = pending.get(key)
+            if existing is None:
+                pending[key] = mask
+                heapq.heappush(heap, (arr, target))
+            elif existing | mask != existing:
+                pending[key] = existing | mask
     if stats is not None:
         stats.update(pops=pops, dead_pops=dead_pops, pushes=push_count)
     return arrival

@@ -104,38 +104,25 @@ def presences(draw):
 @st.composite
 def sweep_plans(draw):
     """Arbitrary plans, structurally valid but otherwise unconstrained —
-    including empty node sets, edges with no contacts, and plans no real
-    graph lowering would produce."""
+    including empty node sets, plans with no contacts, parallel
+    duplicate contacts, and streams no real graph lowering would
+    produce (drawn in any order; the constructor sorts them)."""
     n = draw(st.integers(0, 5))
-    edge_count = draw(st.integers(0, 6)) if n else 0
-    targets = tuple(draw(st.integers(0, n - 1)) for _ in range(edge_count))
-    owner = [draw(st.integers(0, n - 1)) for _ in range(edge_count)]
-    out_edges = tuple(
-        tuple(ei for ei in range(edge_count) if owner[ei] == j) for j in range(n)
-    )
     start = draw(st.integers(-4, 4))
     horizon = start + draw(st.integers(0, 10))
-    contacts, arrivals = [], []
-    for _ in range(edge_count):
-        departures = sorted(
-            set(
-                draw(
-                    st.lists(
-                        st.integers(start, max(start, horizon - 1)), max_size=4
-                    )
-                )
-            )
-        )
-        contacts.append(tuple(departures))
-        arrivals.append(
-            tuple(dep + draw(st.integers(1, 3)) for dep in departures)
-        )
+    count = draw(st.integers(0, 12)) if n and horizon > start else 0
+    src, tgt, dep, arr = [], [], [], []
+    for _ in range(count):
+        src.append(draw(st.integers(0, n - 1)))
+        tgt.append(draw(st.integers(0, n - 1)))
+        dep.append(draw(st.integers(start, horizon - 1)))
+        arr.append(dep[-1] + draw(st.integers(1, 3)))
     return SweepPlan(
         n=n,
-        out_edges=out_edges,
-        target_idx=targets,
-        contacts=tuple(contacts),
-        arrivals=tuple(arrivals),
+        src=src,
+        tgt=tgt,
+        dep=dep,
+        arr=arr,
         start_time=start,
         horizon=horizon,
         max_wait=draw(st.one_of(st.none(), st.integers(0, 4))),
@@ -199,21 +186,21 @@ class TestPlanSpecRoundTrip:
         big = int(UNREACHED) - 7
         plan = SweepPlan(
             n=2,
-            out_edges=((0,), ()),
-            target_idx=(1,),
-            contacts=((big - 3, big),),
-            arrivals=((big - 2, big + 1),),
+            src=(0, 0),
+            tgt=(1, 1),
+            dep=(big - 3, big),
+            arr=(big - 2, big + 1),
             start_time=big - 5,
             horizon=big + 2,
             max_wait=None,
         )
         clone = plan_from_spec(json.loads(json.dumps(plan_to_spec(plan))))
         assert clone == plan
-        assert clone.contacts[0][1] == big
+        assert clone.dep[1] == big
 
     def test_empty_plan_round_trips(self):
         plan = SweepPlan(
-            n=0, out_edges=(), target_idx=(), contacts=(), arrivals=(),
+            n=0, src=(), tgt=(), dep=(), arr=(),
             start_time=0, horizon=0, max_wait=0,
         )
         assert plan_from_spec(plan_to_spec(plan)) == plan

@@ -160,29 +160,20 @@ class TestKernelsMatchInterpretiveOracle:
             assert bitset[i].tolist() == expected
 
 
-def _plan_for_dates(base: int) -> SweepPlan:
+def _plan_for_dates(base: int, max_wait: int | None = None) -> SweepPlan:
     """A 4-node line+shortcut plan with every date near ``base`` — built
     directly so the magnitude (e.g. near ``UNREACHED``) exercises only
-    the sweeps, not the graph layer."""
+    the sweeps, not the graph layer.  Edges 0->1 (departing base and
+    base+1), 0->2 (base+3), 1->2 (base+1 and base+4) and 2->3 (base+5)."""
     return SweepPlan(
         n=4,
-        out_edges=((0, 1), (2,), (3,), ()),
-        target_idx=(1, 2, 2, 3),
-        contacts=(
-            (base, base + 1),
-            (base + 3,),
-            (base + 1, base + 4),
-            (base + 5,),
-        ),
-        arrivals=(
-            (base + 1, base + 2),
-            (base + 4,),
-            (base + 3, base + 5),
-            (base + 6,),
-        ),
+        src=(0, 0, 0, 1, 1, 2),
+        tgt=(1, 1, 2, 2, 2, 3),
+        dep=(base, base + 1, base + 3, base + 1, base + 4, base + 5),
+        arr=(base + 1, base + 2, base + 4, base + 3, base + 5, base + 6),
         start_time=base,
         horizon=base + 8,
-        max_wait=None,
+        max_wait=max_wait,
     )
 
 
@@ -193,16 +184,7 @@ class TestHandcraftedRegimes:
         overflowing."""
         base = int(UNREACHED) - 16
         for max_wait in (None, 0, 1, 3):
-            plan = SweepPlan(
-                n=4,
-                out_edges=((0, 1), (2,), (3,), ()),
-                target_idx=(1, 2, 2, 3),
-                contacts=_plan_for_dates(base).contacts,
-                arrivals=_plan_for_dates(base).arrivals,
-                start_time=base,
-                horizon=base + 8,
-                max_wait=max_wait,
-            )
+            plan = _plan_for_dates(base, max_wait)
             sources = (0, 1, 2, 3)
             bitset = sweep_block(plan, sources)
             bignum = sweep_block_bignum(plan, sources)

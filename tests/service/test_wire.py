@@ -113,14 +113,22 @@ def _plan():
     """A small but fully-populated plan (two nodes, one scheduled edge)."""
     return SweepPlan(
         n=2,
-        out_edges=((0,), ()),
-        target_idx=(1,),
-        contacts=((0, 2, 5),),
-        arrivals=((1, 3, 7),),
+        src=(0, 0, 0),
+        tgt=(1, 1, 1),
+        dep=(0, 2, 5),
+        arr=(1, 3, 7),
         start_time=0,
         horizon=8,
         max_wait=2,
     )
+
+
+def _packed(values):
+    import base64
+
+    import numpy as np
+
+    return base64.b64encode(np.asarray(values, dtype="<i8").tobytes()).decode()
 
 
 class TestSweepPlanSpecs:
@@ -130,23 +138,23 @@ class TestSweepPlanSpecs:
         assert plan_from_spec(json.loads(json.dumps(spec))) == plan
 
     def test_packed_not_listed(self):
-        """Contacts cross as one base64 blob, not per-element JSON."""
+        """The stream crosses as base64 blobs, not per-element JSON."""
         spec = plan_to_spec(_plan())
-        assert isinstance(spec["contacts"], str)
-        assert isinstance(spec["out_edges"], str)
+        for name in ("src", "tgt", "dep", "arr"):
+            assert isinstance(spec[name], str)
 
     @pytest.mark.parametrize(
         "corruption",
         [
             {"kind": "presence"},                         # wrong kind
             {"n": -1},                                    # negative node count
-            {"n": 5},                                     # offsets no longer cover n
+            {"n": 1},                                     # targets outside [0, n)
             {"max_wait": -2},                             # negative waiting bound
             {"max_wait": "x"},                            # non-numeric waiting bound
-            {"targets": "!!not-base64!!"},                # undecodable payload
-            {"targets": "AAAA"},                          # not whole int64s
-            {"contacts": None},                           # missing payload
-            {"out_offsets": None},                        # missing offsets
+            {"tgt": "!!not-base64!!"},                    # undecodable payload
+            {"tgt": "AAAA"},                              # not whole int64s
+            {"dep": None},                                # missing payload
+            {"src": None},                                # missing payload
         ],
     )
     def test_malformed_specs_rejected(self, corruption):
@@ -157,22 +165,47 @@ class TestSweepPlanSpecs:
     def test_truncated_payload_rejected(self):
         spec = plan_to_spec(_plan())
         # Keep valid base64 (a multiple of 4 chars) but drop half the
-        # packed values, so the offsets no longer cover the payload.
-        spec["arrivals"] = spec["arrivals"][: len(spec["arrivals"]) // 8 * 4]
+        # packed values, so the stream arrays no longer align.
+        spec["arr"] = spec["arr"][: len(spec["arr"]) // 8 * 4]
         with pytest.raises(ServiceError):
             plan_from_spec(spec)
 
     def test_out_of_range_adjacency_rejected(self):
-        import base64
-
-        import numpy as np
-
         spec = plan_to_spec(_plan())
-        spec["targets"] = base64.b64encode(
-            np.asarray([9], dtype="<i8").tobytes()
-        ).decode()
+        spec["tgt"] = _packed([9, 9, 9])
         with pytest.raises(ServiceError):
             plan_from_spec(spec)
+
+    @pytest.mark.parametrize(
+        "stream",
+        [
+            # arrival equal to its departure (the kernel would silently
+            # answer UNREACHED for the target instead of failing)
+            {"dep": [0], "arr": [0], "src": [0], "tgt": [1]},
+            {"dep": [0, 2, 5], "arr": [1, 3, 4]},         # arrival before departure
+            {"dep": [0, 2, 8], "arr": [1, 3, 9]},         # departure at the horizon
+            {"dep": [-1, 2, 5], "arr": [1, 3, 7]},        # departure before the start
+            {"dep": [5, 2, 0], "arr": [7, 3, 1]},         # not in dep order
+            {"dep": [2, 2, 5], "arr": [4, 3, 7]},         # not in arr order per dep
+            {"dep": [2, 2, 5], "arr": [3, 3, 7], "tgt": [1, 0, 1]},  # nor tgt order
+            {"src": [0, 2, 0]},                           # a source outside [0, n)
+            {"src": [0, -1, 0]},                          # a negative source
+            {"tgt": [1, 1, -1]},                          # a negative target
+            {"src": [0, 0]},                              # misaligned lengths
+            {"dep": [0, 2, 5, 6]},                        # misaligned lengths
+        ],
+    )
+    def test_plans_the_kernel_cannot_run_are_rejected(self, stream):
+        spec = plan_to_spec(_plan())
+        spec.update({name: _packed(values) for name, values in stream.items()})
+        with pytest.raises(ServiceError):
+            plan_from_spec(spec)
+
+    def test_decoded_plan_is_read_only(self):
+        plan = plan_from_spec(plan_to_spec(_plan()))
+        for name in ("src", "tgt", "dep", "arr"):
+            with pytest.raises(ValueError):
+                getattr(plan, name)[0] = 1
 
 
 class TestMatrixSpecs:

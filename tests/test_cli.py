@@ -287,6 +287,56 @@ class TestNumericBoundary:
         assert "error:" in err and "Traceback" not in err
 
 
+class TestTraceFileBoundary:
+    """A trace path that cannot be read is a one-line usage error
+    (exit code 2) for every command that takes one, never a raw
+    FileNotFoundError traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["render", "{missing}"],
+            ["extract", "{missing}", "--initial", "a"],
+            ["reach", "--trace", "{missing}"],
+            ["growth", "--trace", "{missing}"],
+            ["serve", "--trace", "{missing}"],
+            ["render", "{directory}"],
+            ["reach", "--trace", "{directory}"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_unreadable_trace_is_a_usage_error(self, argv, tmp_path, capsys):
+        paths = {"missing": tmp_path / "nonexistent.trace", "directory": tmp_path}
+        with pytest.raises(SystemExit) as excinfo:
+            main([arg.format(**paths) for arg in argv])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "cannot read trace file" in err and "Traceback" not in err
+
+
+class TestHorizonBoundary:
+    """A --horizon at or before the graph's start names an empty window;
+    it is a usage error, not a run that prints ratios over nothing."""
+
+    @pytest.mark.parametrize("command", ["reach", "growth", "serve"])
+    @pytest.mark.parametrize("horizon", ["-3", "0"])
+    def test_horizon_before_start_is_a_usage_error(self, command, horizon, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--nodes", "6", "--horizon", horizon])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "--horizon" in err and "Traceback" not in err
+
+    def test_horizon_checked_against_a_trace_start(self, tmp_path, capsys):
+        trace = tmp_path / "line.trace"
+        trace.write_text("a b 5 8\nb c 9 11\n", encoding="utf-8")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["reach", "--trace", str(trace), "--horizon", "0"])
+        assert excinfo.value.code == 2
+        assert main(["reach", "--trace", str(trace), "--horizon", "1"]) == 0
+        assert "window:             [0, 1)" in capsys.readouterr().out
+
+
 class TestWorkersFlag:
     """--workers ships sweep blocks to remote workers; results are
     identical to the serial engine, even when a worker is dead."""
